@@ -16,7 +16,7 @@ randomized audit of all of it.
 from .algebra import (BimoduleAction, FinDimAlgebra, canonical_construction,
                       direct_sum, duplicate, homomorphism_action, join_element,
                       l1_norm, lau_action, natural_action, span_products,
-                      split_element, validate_action, validate_algebra)
+                      validate_action, validate_algebra)
 from .bundles import (AlgebraBundle, bundle_from_triple, parse_bundle,
                       serialize_bundle)
 from .derivations import (CohomologyReport, DerivationQuadruple,

@@ -98,9 +98,6 @@ class BimoduleAction:
         return BimoduleAction(np.zeros((f_dim, a_dim, a_dim), dtype=complex),
                               np.zeros((a_dim, f_dim, a_dim), dtype=complex))
 
-    def left_act(self, beta, x) -> np.ndarray:
-        return np.einsum("p,i,pik->k", as_cvector(beta), as_cvector(x), self.left)
-
     def right_act(self, x, beta) -> np.ndarray:
         return np.einsum("i,p,ipk->k", as_cvector(x), as_cvector(beta), self.right)
 
@@ -222,11 +219,6 @@ def duplicate(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     c[da:, da:, da:] = f.mult
     labels = tuple(f"A:{s}" for s in a.labels) + tuple(f"F:{s}" for s in f.labels)
     return FinDimAlgebra.from_mult(c, labels, tol=tol)
-
-
-def split_element(a_dim: int, v) -> tuple[np.ndarray, np.ndarray]:
-    v = as_cvector(v)
-    return v[:a_dim], v[a_dim:]
 
 
 def join_element(x, beta) -> np.ndarray:

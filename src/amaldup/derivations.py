@@ -3,14 +3,15 @@
 A derivation ``D`` from an algebra into a bimodule X is stored as a
 matrix ``(dim X, dim alg)`` with columns ``D(e_i)``; its vectorization is
 row-major.  Z1, the inner space B1, and the cyclic subspace at level one
-are all single nullspace or span computations.
+are single nullspace or span computations on the Leibniz system: this
+is the direct route.
 
-On a duplication, a derivation into the level-n dual splits into four
-blocks whose characterizing identities depend on the parity of n; the
-identities are assembled from the blockwise dual tower both as residual
-checks (:func:`decompose_derivation`) and as an independent linear
-system whose solution dimension must equal ``dim Z1`` of the duplication
-(:func:`derivation_quadruple_space`).
+The block route splits a derivation of a duplication into the level-n
+dual into D1A|D1F|D2A|D2F and states the paper's identities once, in
+:func:`derivation_identities` (two shared, six by parity of n, in the
+grammar of :class:`~amaldup.duals.BlockIdentity`).  That one table gives
+the residual checks, the quadruple spaces whose dimensions must equal
+the direct ones, and the extension systems of :func:`property_h`.
 
 Weak amenability at level n means H1 into the n-th dual vanishes;
 cyclic amenability means every cyclic derivation into the first dual is
@@ -25,7 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BimoduleAction, FinDimAlgebra, duplicate, span_products
-from .duals import (DualActionBlocks, DualBimodule, duplication_dual_blocks,
+from .duals import (D1A, D1F, D2A, D2F, L, R, BlockIdentity, BlockLayout,
+                    BlockQuadruple, DualBimodule, TransposedSum,
+                    block_residuals, block_system, duplication_dual_blocks,
                     duplication_nth_dual, essentiality, nth_dual_bimodule)
 from .errors import DecompositionDefect, HypothesisNotMet, UnitRequired
 from .linalg import (DEFAULT_TOL, Subspace, rank_nullspace, solve_affine,
@@ -121,10 +124,10 @@ class CohomologyReport:
         return None if self.dim_h1_cyclic is None else self.dim_h1_cyclic == 0
 
 
-def cohomology(alg: FinDimAlgebra, n: int, convention: str = "first",
+def cohomology(alg: FinDimAlgebra, n: int,
                tol: float = DEFAULT_TOL) -> CohomologyReport:
     """Dimensions of Z1, B1 and H1 into the n-th dual (cyclic ones at n=1)."""
-    bim = nth_dual_bimodule(alg, n, convention)
+    bim = nth_dual_bimodule(alg, n)
     z1 = derivation_space(alg, bim, tol)
     b1 = inner_space(alg, bim, tol)
     h1 = z1.dim - subspace_intersect(b1, z1, tol).dim
@@ -141,7 +144,7 @@ def cohomology(alg: FinDimAlgebra, n: int, convention: str = "first",
 
 
 @dataclass(frozen=True)
-class DerivationQuadruple:
+class DerivationQuadruple(BlockQuadruple):
     """Blocks of a derivation of a duplication into its level-n dual.
 
     ``d1_a: A -> A^(n)``, ``d1_f: F -> A^(n)``, ``d2_a: A -> F^(n)``,
@@ -158,96 +161,65 @@ class DerivationQuadruple:
     def parity(self) -> str:
         return "even" if self.level % 2 == 0 else "odd"
 
-    def assemble(self) -> np.ndarray:
-        da = self.d1_a.shape[0]
-        df = self.d2_f.shape[0]
-        out = np.zeros((da + df, da + df), dtype=complex)
-        out[:da, :da] = self.d1_a
-        out[:da, da:] = self.d1_f
-        out[da:, :da] = self.d2_a
-        out[da:, da:] = self.d2_f
-        return out
-
     @staticmethod
     def split(a_dim: int, d: np.ndarray, level: int) -> "DerivationQuadruple":
-        return DerivationQuadruple(d[:a_dim, :a_dim], d[:a_dim, a_dim:],
-                                   d[a_dim:, :a_dim], d[a_dim:, a_dim:], level)
+        return DerivationQuadruple(*BlockLayout(a_dim, len(d) - a_dim).split(d),
+                                   level)
+
+
+def derivation_identities(a: FinDimAlgebra, f: FinDimAlgebra,
+                          act: BimoduleAction, n: int) -> list[BlockIdentity]:
+    """The identities characterizing derivations into the level-n dual.
+
+    Two are shared by all levels; six more depend on the parity of n.
+    """
+    b = duplication_dual_blocks(a, f, act, n)
+    ca, cf = a.mult, f.mult
+    shared = [  # the factor blocks derive into their own towers
+        BlockIdentity("d1f_leibniz", D1F, cf,
+                      ((R, D1F, b.act_right), (L, D1F, b.act_left))),
+        BlockIdentity("d2f_leibniz", D2F, cf,
+                      ((R, D2F, b.f_right), (L, D2F, b.f_left)))]
+    if n % 2 == 1:
+        return shared + [
+            BlockIdentity("d1a_leibniz", D1A, ca,
+                          ((R, D1A, b.a_right), (L, D1A, b.a_left))),
+            BlockIdentity("d1a_left_action", D1A, act.left,
+                          ((R, D1F, b.a_right), (L, D1A, b.act_left))),
+            BlockIdentity("d1a_right_action", D1A, act.right,
+                          ((L, D1F, b.a_left), (R, D1A, b.act_right))),
+            BlockIdentity("d2a_left_action", D2A, act.left,
+                          ((R, D1F, b.mix_right), (L, D2A, b.f_left))),
+            BlockIdentity("d2a_right_action", D2A, act.right,
+                          ((L, D1F, b.mix_left), (R, D2A, b.f_right))),
+            BlockIdentity("d2a_products", D2A, ca,
+                          ((R, D1A, b.mix_right), (L, D1A, b.mix_left)))]
+    return shared + [
+        BlockIdentity("d1a_leibniz", D1A, ca,
+                      ((R, D1A, b.a_right), (R, D2A, b.mix_right),
+                       (L, D1A, b.a_left), (L, D2A, b.mix_left))),
+        BlockIdentity("d1a_left_action", D1A, act.left,
+                      ((R, D1F, b.a_right), (R, D2F, b.mix_right),
+                       (L, D1A, b.act_left))),
+        BlockIdentity("d1a_right_action", D1A, act.right,
+                      ((L, D1F, b.a_left), (L, D2F, b.mix_left),
+                       (R, D1A, b.act_right))),
+        BlockIdentity("d2a_products", D2A, ca),
+        BlockIdentity("d2a_left_module", D2A, act.left, ((L, D2A, b.f_left),)),
+        BlockIdentity("d2a_right_module", D2A, act.right, ((R, D2A, b.f_right),))]
+
+
+# Extra identities of cyclic derivations at level one.
+CYCLIC_IDENTITIES = (TransposedSum("d1a_antisymmetric", D1A, D1A),
+                     TransposedSum("d2f_antisymmetric", D2F, D2F),
+                     TransposedSum("cross_blocks_balance", D1F, D2A))
 
 
 def quadruple_condition_defects(a: FinDimAlgebra, f: FinDimAlgebra,
                                 act: BimoduleAction, q: DerivationQuadruple
                                 ) -> dict[str, float]:
     """Residuals of every identity characterizing derivation quadruples."""
-    blocks = duplication_dual_blocks(a, f, act, q.level)
-    ca, cf = a.mult, f.mult
-    d1a, d1f, d2a, d2f = q.d1_a, q.d1_f, q.d2_a, q.d2_f
-    da, df = a.dim, f.dim
-    out: dict[str, float] = {}
-
-    def put(name, lhs, rhs):
-        out[name] = float(np.max(np.abs(lhs - rhs))) if np.size(lhs) else 0.0
-
-    # shared: the factor blocks derive into their own towers
-    put("d1f_leibniz",
-        np.einsum("pqm,km->pqk", cf, d1f),
-        np.einsum("qkm,mp->pqk", blocks.act_right, d1f)
-        + np.einsum("pkm,mq->pqk", blocks.act_left, d1f))
-    put("d2f_leibniz",
-        np.einsum("pqm,km->pqk", cf, d2f),
-        np.einsum("qkm,mp->pqk", blocks.f_right, d2f)
-        + np.einsum("pkm,mq->pqk", blocks.f_left, d2f))
-
-    if q.parity == "odd":
-        put("d1a_leibniz",
-            np.einsum("ijm,km->ijk", ca, d1a),
-            np.einsum("jkm,mi->ijk", blocks.a_right, d1a)
-            + np.einsum("ikm,mj->ijk", blocks.a_left, d1a))
-        put("d1a_left_action",
-            np.einsum("pim,km->pik", act.left, d1a),
-            np.einsum("ikm,mp->pik", blocks.a_right, d1f)
-            + np.einsum("pkm,mi->pik", blocks.act_left, d1a))
-        put("d1a_right_action",
-            np.einsum("ipm,km->ipk", act.right, d1a),
-            np.einsum("ikm,mp->ipk", blocks.a_left, d1f)
-            + np.einsum("pkm,mi->ipk", blocks.act_right, d1a))
-        put("d2a_left_action",
-            np.einsum("pim,km->pik", act.left, d2a),
-            np.einsum("ikm,mp->pik", blocks.mix_right, d1f)
-            + np.einsum("pkm,mi->pik", blocks.f_left, d2a))
-        put("d2a_right_action",
-            np.einsum("ipm,km->ipk", act.right, d2a),
-            np.einsum("ikm,mp->ipk", blocks.mix_left, d1f)
-            + np.einsum("pkm,mi->ipk", blocks.f_right, d2a))
-        put("d2a_products",
-            np.einsum("ijm,km->ijk", ca, d2a),
-            np.einsum("jkm,mi->ijk", blocks.mix_right, d1a)
-            + np.einsum("ikm,mj->ijk", blocks.mix_left, d1a))
-    else:
-        put("d1a_leibniz",
-            np.einsum("ijm,km->ijk", ca, d1a),
-            np.einsum("jkm,mi->ijk", blocks.a_right, d1a)
-            + np.einsum("jkm,mi->ijk", blocks.mix_right, d2a)
-            + np.einsum("ikm,mj->ijk", blocks.a_left, d1a)
-            + np.einsum("ikm,mj->ijk", blocks.mix_left, d2a))
-        put("d1a_left_action",
-            np.einsum("pim,km->pik", act.left, d1a),
-            np.einsum("ikm,mp->pik", blocks.a_right, d1f)
-            + np.einsum("ikm,mp->pik", blocks.mix_right, d2f)
-            + np.einsum("pkm,mi->pik", blocks.act_left, d1a))
-        put("d1a_right_action",
-            np.einsum("ipm,km->ipk", act.right, d1a),
-            np.einsum("ikm,mp->ipk", blocks.a_left, d1f)
-            + np.einsum("ikm,mp->ipk", blocks.mix_left, d2f)
-            + np.einsum("pkm,mi->ipk", blocks.act_right, d1a))
-        out["d2a_products"] = float(np.max(np.abs(
-            np.einsum("ijm,km->ijk", ca, d2a)))) if ca.size else 0.0
-        put("d2a_left_module",
-            np.einsum("pim,km->pik", act.left, d2a),
-            np.einsum("pkm,mi->pik", blocks.f_left, d2a))
-        put("d2a_right_module",
-            np.einsum("ipm,km->ipk", act.right, d2a),
-            np.einsum("pkm,mi->ipk", blocks.f_right, d2a))
-    return out
+    return block_residuals(derivation_identities(a, f, act, q.level), q.blocks)
 
 
 def decompose_derivation(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
@@ -275,86 +247,9 @@ def derivation_quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra,
     dimension equals ``dim Z1(duplication, level n)`` when both the block
     identities and the direct Leibniz computation are right.
     """
-    blocks = duplication_dual_blocks(a, f, act, n)
-    ca, cf = a.mult, f.mult
-    da, df = a.dim, f.dim
-    sizes = [da * da, da * df, df * da, df * df]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    rows: list[np.ndarray] = []
-    eye_a, eye_f = np.eye(da), np.eye(df)
-
-    def fn(slot, out_vec, in_vec):
-        r = np.zeros(offs[-1], dtype=complex)
-        r[offs[slot]:offs[slot + 1]] = np.outer(out_vec, in_vec).reshape(-1)
-        return r
-
-    odd = n % 2 == 1
-    # D1F and D2F derive into their towers (all parities)
-    for p in range(df):
-        for qq in range(df):
-            for k in range(da):
-                rows.append(fn(1, eye_a[k], cf[p, qq])
-                            - fn(1, blocks.act_right[qq][k], eye_f[p])
-                            - fn(1, blocks.act_left[p][k], eye_f[qq]))
-            for k in range(df):
-                rows.append(fn(3, eye_f[k], cf[p, qq])
-                            - fn(3, blocks.f_right[qq][k], eye_f[p])
-                            - fn(3, blocks.f_left[p][k], eye_f[qq]))
-    if odd:
-        for i in range(da):
-            for j in range(da):
-                for k in range(da):  # D1A Leibniz
-                    rows.append(fn(0, eye_a[k], ca[i, j])
-                                - fn(0, blocks.a_right[j][k], eye_a[i])
-                                - fn(0, blocks.a_left[i][k], eye_a[j]))
-                for k in range(df):  # D2A on products
-                    rows.append(fn(2, eye_f[k], ca[i, j])
-                                - fn(0, blocks.mix_right[j][k], eye_a[i])
-                                - fn(0, blocks.mix_left[i][k], eye_a[j]))
-        for p in range(df):
-            for i in range(da):
-                for k in range(da):
-                    rows.append(fn(0, eye_a[k], act.left[p, i])
-                                - fn(1, blocks.a_right[i][k], eye_f[p])
-                                - fn(0, blocks.act_left[p][k], eye_a[i]))
-                    rows.append(fn(0, eye_a[k], act.right[i, p])
-                                - fn(1, blocks.a_left[i][k], eye_f[p])
-                                - fn(0, blocks.act_right[p][k], eye_a[i]))
-                for k in range(df):
-                    rows.append(fn(2, eye_f[k], act.left[p, i])
-                                - fn(1, blocks.mix_right[i][k], eye_f[p])
-                                - fn(2, blocks.f_left[p][k], eye_a[i]))
-                    rows.append(fn(2, eye_f[k], act.right[i, p])
-                                - fn(1, blocks.mix_left[i][k], eye_f[p])
-                                - fn(2, blocks.f_right[p][k], eye_a[i]))
-    else:
-        for i in range(da):
-            for j in range(da):
-                for k in range(da):  # D1A mixed Leibniz
-                    rows.append(fn(0, eye_a[k], ca[i, j])
-                                - fn(0, blocks.a_right[j][k], eye_a[i])
-                                - fn(2, blocks.mix_right[j][k], eye_a[i])
-                                - fn(0, blocks.a_left[i][k], eye_a[j])
-                                - fn(2, blocks.mix_left[i][k], eye_a[j]))
-                for k in range(df):  # D2A kills products
-                    rows.append(fn(2, eye_f[k], ca[i, j]))
-        for p in range(df):
-            for i in range(da):
-                for k in range(da):
-                    rows.append(fn(0, eye_a[k], act.left[p, i])
-                                - fn(1, blocks.a_right[i][k], eye_f[p])
-                                - fn(3, blocks.mix_right[i][k], eye_f[p])
-                                - fn(0, blocks.act_left[p][k], eye_a[i]))
-                    rows.append(fn(0, eye_a[k], act.right[i, p])
-                                - fn(1, blocks.a_left[i][k], eye_f[p])
-                                - fn(3, blocks.mix_left[i][k], eye_f[p])
-                                - fn(0, blocks.act_right[p][k], eye_a[i]))
-                for k in range(df):  # D2A is a bimodule map
-                    rows.append(fn(2, eye_f[k], act.left[p, i])
-                                - fn(2, blocks.f_left[p][k], eye_a[i]))
-                    rows.append(fn(2, eye_f[k], act.right[i, p])
-                                - fn(2, blocks.f_right[p][k], eye_a[i]))
-    _, null = rank_nullspace(np.vstack(rows), tol)
+    system = block_system(derivation_identities(a, f, act, n),
+                          BlockLayout(a.dim, f.dim))
+    _, null = rank_nullspace(system, tol)
     return null
 
 
@@ -368,42 +263,10 @@ def cyclic_quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra,
     transposedly.  The solution dimension must equal the dimension of
     the cyclic derivation space of the duplication.
     """
-    da, df = a.dim, f.dim
-    sizes = [da * da, da * df, df * da, df * df]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    rows = [np.zeros((0, offs[-1]))]
-
-    def unit_row(slot, out, inp, out_dim, in_dim):
-        r = np.zeros(offs[-1])
-        r[offs[slot] + out * in_dim + inp] = 1.0
-        return r
-
-    for i in range(da):
-        for j in range(i, da):  # D1A pairing antisymmetric
-            rows.append(unit_row(0, i, j, da, da) + unit_row(0, j, i, da, da))
-    for p in range(df):
-        for qq in range(p, df):  # D2F pairing antisymmetric
-            rows.append(unit_row(3, p, qq, df, df) + unit_row(3, qq, p, df, df))
-    for k in range(da):
-        for p in range(df):  # D1F = -(D2A transposed)
-            rows.append(unit_row(1, k, p, da, df) + unit_row(2, p, k, df, da))
-    base = derivation_quadruple_space(a, f, act, 1, tol)
-    system = np.vstack([np.vstack(rows),
-                        np.eye(offs[-1]) - base.projector()])
+    identities = derivation_identities(a, f, act, 1) + list(CYCLIC_IDENTITIES)
+    system = block_system(identities, BlockLayout(a.dim, f.dim))
     _, null = rank_nullspace(system, tol)
     return null
-
-
-def quadruple_from_coords(a_dim: int, f_dim: int, coords,
-                          level: int) -> DerivationQuadruple:
-    sizes = [a_dim * a_dim, a_dim * f_dim, f_dim * a_dim, f_dim * f_dim]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    coords = np.asarray(coords, dtype=complex).reshape(-1)
-    return DerivationQuadruple(
-        coords[offs[0]:offs[1]].reshape(a_dim, a_dim),
-        coords[offs[1]:offs[2]].reshape(a_dim, f_dim),
-        coords[offs[2]:offs[3]].reshape(f_dim, a_dim),
-        coords[offs[3]:offs[4]].reshape(f_dim, f_dim), level)
 
 
 def is_inner_match(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
@@ -504,25 +367,16 @@ def corollary_dt_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
 def module_derivation_space(a: FinDimAlgebra, f: FinDimAlgebra,
                             act: BimoduleAction, n: int,
                             tol: float = DEFAULT_TOL) -> Subspace:
-    """Derivations A -> A^(n) commuting with the F-action (n even)."""
+    """Derivations A -> A^(n) commuting with the F-action (n even).
+
+    These are the quadruples ``(D1A, 0, 0, 0)``: the even identities on
+    D1A with every other block set to zero.
+    """
     if n % 2 == 1:
         raise ValueError("module derivations live at even dual levels")
-    blocks = duplication_dual_blocks(a, f, act, n)
-    da, df = a.dim, f.dim
-    a_bim = DualBimodule(n, blocks.a_left, blocks.a_right)
-    parts = [derivation_constraints(a.mult, a_bim)]
-    eye_a = np.eye(da)
-    extra = []
-    for p in range(df):
-        for i in range(da):
-            lhs = np.kron(np.eye(da), act.left[p, i][None, :]) \
-                - np.kron(blocks.act_left[p], eye_a[i][None, :])
-            rhs = np.kron(np.eye(da), act.right[i, p][None, :]) \
-                - np.kron(blocks.act_right[p], eye_a[i][None, :])
-            extra.extend([lhs, rhs])
-    if extra:
-        parts.append(np.vstack(extra))
-    _, null = rank_nullspace(np.vstack(parts), tol)
+    identities = [i for i in derivation_identities(a, f, act, n) if i.slot == D1A]
+    system = block_system(identities, BlockLayout(a.dim, f.dim))
+    _, null = rank_nullspace(system[:, :a.dim ** 2], tol)
     return null
 
 
@@ -541,40 +395,35 @@ def unital_form_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     if a.unit is None:
         raise UnitRequired("first factor has no unit")
     e = a.unit
-    blocks = duplication_dual_blocks(a, f, act, n)
-    mix_l = np.einsum("i,ikm->km", e, blocks.mix_left)
-    mix_r = np.einsum("i,ikm->km", e, blocks.mix_right)
+    b = duplication_dual_blocks(a, f, act, n)
+    mix_l = np.einsum("i,ikm->km", e, b.mix_left)[None]
+    mix_r = np.einsum("i,ikm->km", e, b.mix_right)[None]
+    e_dot = np.einsum("i,ipm->pm", e, act.right)[None]   # e . f_p
+    dot_e = np.einsum("i,pim->pm", e, act.left)[None]    # f_p . e
+    eye_a = np.eye(a.dim)[None]
+    if n % 2 == 1:
+        # D1F = D1A(e . -) = D1A(- . e) and D2A = mix(e) D1A on both sides
+        identities = [
+            BlockIdentity("d1f_right_unit", D1A, e_dot, ((L, D1F, eye_a),)),
+            BlockIdentity("d1f_left_unit", D1A, dot_e, ((L, D1F, eye_a),)),
+            BlockIdentity("d2a_right_mix", D2A, eye_a, ((L, D1A, mix_r),)),
+            BlockIdentity("d2a_left_mix", D2A, eye_a, ((L, D1A, mix_l),))]
+    else:
+        # D1F = D1A(e . -) - mix(e) D2F on both sides, and D2A = 0
+        identities = [
+            BlockIdentity("d1f_right_unit", D1A, e_dot,
+                          ((L, D1F, eye_a), (L, D2F, mix_r))),
+            BlockIdentity("d1f_left_unit", D1A, dot_e,
+                          ((L, D1F, eye_a), (L, D2F, mix_l))),
+            BlockIdentity("d2a_vanishes", D2A, eye_a)]
     dup = duplicate(a, f, act, validate=False)
-    bim = duplication_nth_dual(a, f, act, n)
-    space = derivation_space(dup, bim, tol)
+    space = derivation_space(dup, duplication_nth_dual(a, f, act, n), tol)
+    layout = BlockLayout(a.dim, f.dim)
     worst = 0.0
-    da, df = a.dim, f.dim
     for col in range(space.dim):
         d = space.basis[:, col].reshape(dup.dim, dup.dim)
-        q = DerivationQuadruple.split(da, d, n)
-        for p in range(df):
-            e_dot_b = act.right_act(e, np.eye(df)[p])
-            b_dot_e = act.left_act(np.eye(df)[p], e)
-            if n % 2 == 1:
-                worst = max(worst, _gap(q.d1_f[:, p], q.d1_a @ e_dot_b))
-                worst = max(worst, _gap(q.d1_f[:, p], q.d1_a @ b_dot_e))
-            else:
-                worst = max(worst, _gap(q.d1_f[:, p],
-                                        q.d1_a @ e_dot_b - mix_r @ q.d2_f[:, p]))
-                worst = max(worst, _gap(q.d1_f[:, p],
-                                        q.d1_a @ b_dot_e - mix_l @ q.d2_f[:, p]))
-        for i in range(da):
-            if n % 2 == 1:
-                worst = max(worst, _gap(q.d2_a[:, i], mix_r @ q.d1_a[:, i]))
-                worst = max(worst, _gap(q.d2_a[:, i], mix_l @ q.d1_a[:, i]))
-            else:
-                worst = max(worst, float(np.max(np.abs(q.d2_a[:, i])))
-                            if q.d2_a.size else 0.0)
+        worst = max(worst, *block_residuals(identities, layout.split(d)).values())
     return UnitalFormReport(n, space.dim, worst, worst <= 100 * tol)
-
-
-def _gap(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.max(np.abs(x - y))) if np.size(x) else 0.0
 
 
 def property_h(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
@@ -582,79 +431,21 @@ def property_h(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     """Whether every derivation of A into its (2n+1)-th dual extends.
 
     Extension means a compatible pair (D1F derivation, D2A linear)
-    satisfying the odd block identities exists.  The identities are
-    linear in D1A, so solvability on a basis of Z1 decides the property.
+    satisfying the odd block identities that involve either of them.
+    Those identities are linear in D1A too, so with the D1A columns moved
+    to the right-hand side, solvability on a basis of Z1 decides the
+    property.
     """
     level = 2 * n + 1
-    blocks = duplication_dual_blocks(a, f, act, level)
-    da = a.dim
-    a_bim = DualBimodule(level, blocks.a_left, blocks.a_right)
-    z1 = derivation_space(a, a_bim, tol)
-    system, rhs_of = _extension_system(a, f, act, blocks)
-    for col in range(z1.dim):
-        d1a = z1.basis[:, col].reshape(da, da)
-        if solve_affine(system, rhs_of(d1a), tol) is None:
-            return False
-    return True
-
-
-def _extension_system(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                      blocks: DualActionBlocks):
-    """Linear system for (D1F, D2A) given D1A, per the odd block identities.
-
-    Returns the coefficient matrix over ``vec(D1F) + vec(D2A)`` and a
-    builder mapping a D1A matrix to the right-hand side.
-    """
-    da, df = a.dim, f.dim
-    offs = [0, da * df, da * df + df * da]
-    eye_a, eye_f = np.eye(da), np.eye(df)
-    rows: list[np.ndarray] = []
-    builders = []  # one scalar-valued callable of d1a per row
-
-    def fn(slot, out_vec, in_vec):
-        r = np.zeros(offs[-1], dtype=complex)
-        r[offs[slot]:offs[slot + 1]] = np.outer(out_vec, in_vec).reshape(-1)
-        return r
-
-    zero_rhs = lambda d1a: 0.0
-    for p in range(df):
-        for qq in range(df):
-            for k in range(da):  # D1F Leibniz
-                rows.append(fn(0, eye_a[k], f.mult[p, qq])
-                            - fn(0, blocks.act_right[qq][k], eye_f[p])
-                            - fn(0, blocks.act_left[p][k], eye_f[qq]))
-                builders.append(zero_rhs)
-    for p in range(df):
-        for i in range(da):
-            for k in range(da):
-                rows.append(fn(0, blocks.a_right[i][k], eye_f[p]))
-                builders.append(lambda d1a, p=p, i=i, k=k: complex(
-                    (d1a @ act.left[p, i] - blocks.act_left[p] @ d1a[:, i])[k]))
-                rows.append(fn(0, blocks.a_left[i][k], eye_f[p]))
-                builders.append(lambda d1a, p=p, i=i, k=k: complex(
-                    (d1a @ act.right[i, p] - blocks.act_right[p] @ d1a[:, i])[k]))
-            for k in range(df):
-                rows.append(fn(1, eye_f[k], act.left[p, i])
-                            - fn(0, blocks.mix_right[i][k], eye_f[p])
-                            - fn(1, blocks.f_left[p][k], eye_a[i]))
-                builders.append(zero_rhs)
-                rows.append(fn(1, eye_f[k], act.right[i, p])
-                            - fn(0, blocks.mix_left[i][k], eye_f[p])
-                            - fn(1, blocks.f_right[p][k], eye_a[i]))
-                builders.append(zero_rhs)
-    for i in range(da):
-        for j in range(da):
-            for k in range(df):
-                rows.append(fn(1, eye_f[k], a.mult[i, j]))
-                builders.append(lambda d1a, i=i, j=j, k=k: complex(
-                    (blocks.mix_right[j] @ d1a[:, i]
-                     + blocks.mix_left[i] @ d1a[:, j])[k]))
-    system = np.vstack(rows)
-
-    def rhs_of(d1a: np.ndarray) -> np.ndarray:
-        return np.array([b(d1a) for b in builders], dtype=complex)
-
-    return system, rhs_of
+    z1 = derivation_space(a, nth_dual_bimodule(a, level), tol)
+    identities = [i for i in derivation_identities(a, f, act, level)
+                  if {i.slot, *(t for _, t, _ in i.terms)} & {D1F, D2A}]
+    layout = BlockLayout(a.dim, f.dim)
+    system = block_system(identities, layout)
+    offs = layout.offsets
+    rhs = -system[:, offs[D1A]:offs[D1F]] @ z1.basis
+    return all(solve_affine(system[:, offs[D1F]:offs[D2F]], rhs[:, col], tol)
+               is not None for col in range(z1.dim))
 
 
 def weak_amenability(alg: FinDimAlgebra, n: int, tol: float = DEFAULT_TOL) -> bool:
@@ -718,11 +509,5 @@ def cyclic_quadruple_defects(a: FinDimAlgebra, f: FinDimAlgebra,
     On top of the odd identities: D1A and D2F antisymmetric, and the
     transposed A-to-F block balancing the F-to-A block.
     """
-    base = quadruple_condition_defects(a, f, act, q)
-    base["d1a_antisymmetric"] = float(np.max(np.abs(q.d1_a + q.d1_a.T))) \
-        if q.d1_a.size else 0.0
-    base["d2f_antisymmetric"] = float(np.max(np.abs(q.d2_f + q.d2_f.T))) \
-        if q.d2_f.size else 0.0
-    base["cross_blocks_balance"] = float(np.max(np.abs(q.d1_f + q.d2_a.T))) \
-        if q.d1_f.size else 0.0
-    return base
+    identities = derivation_identities(a, f, act, q.level)
+    return block_residuals(identities + list(CYCLIC_IDENTITIES), q.blocks)

@@ -27,7 +27,8 @@ with the parity of the level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,6 @@ class DualBimodule:
     level: int
     left_ops: np.ndarray = field(repr=False)   # (alg_dim, d, d), op of e_i
     right_ops: np.ndarray = field(repr=False)
-    convention: str = "first"
 
     @property
     def module_dim(self) -> int:
@@ -63,27 +63,21 @@ class DualBimodule:
     def raised(self) -> "DualBimodule":
         return DualBimodule(self.level + 1,
                             np.transpose(self.right_ops, (0, 2, 1)),
-                            np.transpose(self.left_ops, (0, 2, 1)),
-                            self.convention)
+                            np.transpose(self.left_ops, (0, 2, 1)))
 
 
-def algebra_bimodule(alg: FinDimAlgebra, convention: str = "first") -> DualBimodule:
+def algebra_bimodule(alg: FinDimAlgebra) -> DualBimodule:
     """The algebra acting on itself (level 0)."""
     left = np.transpose(alg.mult, (0, 2, 1))   # L(e_i)[k, j] = mult[i, j, k]
     right = np.transpose(alg.mult, (1, 2, 0))  # R(e_j)[k, i] = mult[i, j, k]
-    return DualBimodule(0, left, right, convention)
+    return DualBimodule(0, left, right)
 
 
-def nth_dual_bimodule(alg: FinDimAlgebra, n: int,
-                      convention: str = "first") -> DualBimodule:
-    """Action operators on the n-th dual, by the transpose recursion.
-
-    The ``convention`` tag records which extended product the caller pairs
-    this with; the canonical recursion itself does not depend on it.
-    """
+def nth_dual_bimodule(alg: FinDimAlgebra, n: int) -> DualBimodule:
+    """Action operators on the n-th dual, by the transpose recursion."""
     if n < 0:
         raise ValueError("dual level must be nonnegative")
-    bim = algebra_bimodule(alg, convention)
+    bim = algebra_bimodule(alg)
     for _ in range(n):
         bim = bim.raised()
     return bim
@@ -182,10 +176,6 @@ class DualActionBlocks:
     mix_left: np.ndarray = field(repr=False)
     mix_right: np.ndarray = field(repr=False)
 
-    @property
-    def parity(self) -> str:
-        return "even" if self.level % 2 == 0 else "odd"
-
     @staticmethod
     def level0(a: FinDimAlgebra, f: FinDimAlgebra,
                act: BimoduleAction) -> "DualActionBlocks":
@@ -258,6 +248,142 @@ def duplication_nth_dual(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
         raise InternalInconsistency(
             f"blockwise dual structure deviates from the recursion by {defect:.3g}")
     return assembled
+
+
+# ---------------------------------------------------------------------------
+# block identities of quadruples
+#
+# A quadruple splits a map on the duplication into the slots D1A: A -> A,
+# D1F: F -> A, D2A: A -> F and D2F: F -> F, whose targets are the factors
+# (multipliers) or their n-th duals (derivations).  Every block identity
+# of the paper reads
+#
+#     D_s T[x, y] - sum_L Op[x] D_t e_y - sum_R Op[y] D_t e_x = 0
+#
+# for a product or action tensor T and terms (side, slot t, family Op)
+# from the blockwise dual tower.  One BlockIdentity record yields both its
+# max-abs residual and its rows over vec(D1A) | vec(D1F) | vec(D2A) |
+# vec(D2F); a TransposedSum does the same for D_s + D_t^T = 0.  These
+# records are the block route only: the direct route never reads them.
+
+D1A, D1F, D2A, D2F = range(4)
+L, R = "L", "R"
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """Slot shapes and vec offsets of quadruples over a pair of factors.
+
+    Blocks are vec'd row-major and concatenated in slot order; the
+    assembled operator on the duplication is ``[[D1A, D1F], [D2A, D2F]]``.
+    """
+
+    a_dim: int
+    f_dim: int
+
+    def shape(self, slot: int) -> tuple[int, int]:
+        dims = (self.a_dim, self.f_dim)
+        return dims[slot // 2], dims[slot % 2]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.cumsum([0] + [np.prod(self.shape(s)) for s in range(4)])
+
+    def split(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The four blocks of an operator on the duplication."""
+        da = self.a_dim
+        return op[:da, :da], op[:da, da:], op[da:, :da], op[da:, da:]
+
+    def blocks(self, coords) -> tuple[np.ndarray, ...]:
+        """The four blocks with the given vec coordinates."""
+        coords = np.asarray(coords, dtype=complex).reshape(-1)
+        offs = self.offsets
+        return tuple(coords[offs[s]:offs[s + 1]].reshape(self.shape(s))
+                     for s in range(4))
+
+
+class BlockQuadruple:
+    """Shared reading of a dataclass whose first four fields are the slots."""
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self)[:4])
+
+    def assemble(self) -> np.ndarray:
+        """The operator ``[[D1A, D1F], [D2A, D2F]]`` on the duplication."""
+        d1a, d1f, d2a, d2f = self.blocks
+        return np.block([[d1a, d1f], [d2a, d2f]])
+
+
+class BlockIdentity(NamedTuple):
+    """``D_slot T[x, y] - sum_L Op[x] D_t e_y - sum_R Op[y] D_t e_x = 0``.
+
+    ``tensor[x, y]`` lies in the input space of ``slot``; each term is
+    ``(side, t, Op)`` with ``Op[x]`` (side L) or ``Op[y]`` (side R) mapping
+    the output space of slot t into that of ``slot``.
+    """
+
+    name: str
+    slot: int
+    tensor: np.ndarray
+    terms: tuple = ()
+
+    def row_count(self, layout: BlockLayout) -> int:
+        x, y, _ = self.tensor.shape
+        return x * y * layout.shape(self.slot)[0]
+
+    def residual(self, blocks) -> float:
+        r = np.einsum("xym,km->xyk", self.tensor, blocks[self.slot])
+        for side, t, ops in self.terms:
+            spec = "xkm,my->xyk" if side == L else "ykm,mx->xyk"
+            r = r - np.einsum(spec, ops, blocks[t])
+        return float(np.max(np.abs(r))) if r.size else 0.0
+
+    def fill(self, out: np.ndarray, layout: BlockLayout) -> None:
+        offs, s = layout.offsets, self.slot
+        eye = np.eye(layout.shape(s)[0])
+        out[:, offs[s]:offs[s + 1]] += np.einsum(
+            "xym,kl->xyklm", self.tensor, eye).reshape(len(out), -1)
+        for side, t, ops in self.terms:
+            spec = "xkm,yz->xykmz" if side == L else "ykm,xz->xykmz"
+            out[:, offs[t]:offs[t + 1]] -= np.einsum(
+                spec, ops, np.eye(layout.shape(t)[1])).reshape(len(out), -1)
+
+
+class TransposedSum(NamedTuple):
+    """``D_slot + D_other^T = 0``, for slots of transposed shapes."""
+
+    name: str
+    slot: int
+    other: int
+
+    def row_count(self, layout: BlockLayout) -> int:
+        return int(np.prod(layout.shape(self.slot)))
+
+    def residual(self, blocks) -> float:
+        r = blocks[self.slot] + blocks[self.other].T
+        return float(np.max(np.abs(r))) if r.size else 0.0
+
+    def fill(self, out: np.ndarray, layout: BlockLayout) -> None:
+        offs, (p, q) = layout.offsets, layout.shape(self.slot)
+        out[:, offs[self.slot]:offs[self.slot + 1]] += np.eye(p * q)
+        out[:, offs[self.other]:offs[self.other + 1]] += np.einsum(
+            "ka,mb->kmba", np.eye(p), np.eye(q)).reshape(p * q, -1)
+
+
+def block_residuals(identities, blocks) -> dict[str, float]:
+    """Max-abs residual of each identity on the blocks of a quadruple."""
+    return {ident.name: ident.residual(blocks) for ident in identities}
+
+
+def block_system(identities, layout: BlockLayout) -> np.ndarray:
+    """All identities as one constraint matrix over vec coordinates."""
+    sizes = [ident.row_count(layout) for ident in identities]
+    ends = np.cumsum([0] + sizes)
+    system = np.zeros((ends[-1], layout.offsets[-1]), dtype=complex)
+    for ident, start, stop in zip(identities, ends[:-1], ends[1:]):
+        ident.fill(system[start:stop], layout)
+    return system
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,7 @@ import numpy as np
 
 from .algebra import BimoduleAction, FinDimAlgebra, duplicate
 from .errors import NotAProperIdeal, ShapeError
-from .linalg import (DEFAULT_TOL, Subspace, rank_nullspace, subspace_equal,
-                     subspace_sum)
-
-
-@dataclass(frozen=True)
-class IdealWitness:
-    subspace: Subspace
-    side: str
-    defect: float
+from .linalg import DEFAULT_TOL, Subspace, rank_nullspace, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -72,12 +64,6 @@ def ideal_defect(alg: FinDimAlgebra, s: Subspace, side: str = "left") -> float:
 def is_ideal(alg: FinDimAlgebra, s: Subspace, side: str = "left",
              tol: float = DEFAULT_TOL) -> bool:
     return ideal_defect(alg, s, side) <= tol
-
-
-def ideal_witness(alg: FinDimAlgebra, s: Subspace, side: str = "left",
-                  tol: float = DEFAULT_TOL) -> IdealWitness | None:
-    defect = ideal_defect(alg, s, side)
-    return IdealWitness(s, side, defect) if defect <= tol else None
 
 
 def submodule_defect(act: BimoduleAction, s: Subspace, side: str = "left") -> float:

@@ -2,12 +2,13 @@
 
 A left multiplier of C is an operator commuting with every left
 multiplication, ``T(cx) = c T(x)``; the space of all of them is a single
-nullspace over operator coordinates.  On a duplication every left
-multiplier splits into four blocks tied together by three block
-identities; the constrained block system is assembled independently
-here, so its solution dimension double-checks the direct computation.
+nullspace over operator coordinates, ``vec(T) = T.reshape(-1)``.  That
+commutant system on the assembled duplication is the direct route.
 
-Operator coordinates are row-major: ``vec(T) = T.reshape(-1)``.
+The block route splits a multiplier into T1A|T1F|T2A|T2F and states its
+eight identities once, in :func:`multiplier_identities`; the residual
+check and the block system whose dimension must equal ``dim LM`` are
+both generated from that table, which the direct route never reads.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BimoduleAction, FinDimAlgebra, duplicate, span_products
-from .duals import DualActionBlocks
+from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
+                    BlockQuadruple, DualActionBlocks, block_residuals,
+                    block_system)
 from .errors import DecompositionDefect, ShapeError
 from .linalg import DEFAULT_TOL, Subspace, rank_nullspace
 
 
 @dataclass(frozen=True)
-class MultiplierQuadruple:
+class MultiplierQuadruple(BlockQuadruple):
     """Blocks of a left multiplier of a duplication.
 
     ``t1_a: A -> A``, ``t1_f: F -> A``, ``t2_a: A -> F``, ``t2_f: F -> F``.
@@ -33,16 +36,6 @@ class MultiplierQuadruple:
     t1_f: np.ndarray = field(repr=False)
     t2_a: np.ndarray = field(repr=False)
     t2_f: np.ndarray = field(repr=False)
-
-    def assemble(self) -> np.ndarray:
-        da = self.t1_a.shape[0]
-        df = self.t2_f.shape[0]
-        out = np.zeros((da + df, da + df), dtype=complex)
-        out[:da, :da] = self.t1_a
-        out[:da, da:] = self.t1_f
-        out[da:, :da] = self.t2_a
-        out[da:, da:] = self.t2_f
-        return out
 
 
 def commutant_constraints(ops: np.ndarray) -> np.ndarray:
@@ -71,41 +64,32 @@ def left_multiplier_space(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subsp
     return multiplier_space(alg, "left", tol)
 
 
+def multiplier_identities(a: FinDimAlgebra, f: FinDimAlgebra,
+                          act: BimoduleAction) -> list[BlockIdentity]:
+    """The eight block identities of a left multiplier of the duplication."""
+    b = DualActionBlocks.level0(a, f, act)
+    ca, cf = a.mult, f.mult
+    return [
+        # T1A(a b) = a T1A(b) + a . T2A(b)
+        BlockIdentity("product_rule", D1A, ca,
+                      ((L, D1A, b.a_left), (L, D2A, b.mix_left))),
+        # T1A(a . b) = a T1F(b) + a . T2F(b)
+        BlockIdentity("action_rule", D1A, act.right,
+                      ((L, D1F, b.a_left), (L, D2F, b.mix_left))),
+        # T2A vanishes on products and on right-action values
+        BlockIdentity("t2a_kills_products", D2A, ca),
+        BlockIdentity("t2a_kills_action", D2A, act.right),
+        # module-map memberships
+        BlockIdentity("t1a_module_map", D1A, act.left, ((L, D1A, b.act_left),)),
+        BlockIdentity("t1f_module_map", D1F, cf, ((L, D1F, b.act_left),)),
+        BlockIdentity("t2a_module_map", D2A, act.left, ((L, D2A, b.f_left),)),
+        BlockIdentity("t2f_left_multiplier", D2F, cf, ((L, D2F, b.f_left),))]
+
+
 def quadruple_defects(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
                       q: MultiplierQuadruple) -> dict[str, float]:
     """Residuals of every block identity a multiplier quadruple satisfies."""
-    blocks = DualActionBlocks.level0(a, f, act)
-    ca, cf = a.mult, f.mult
-    t1a, t1f, t2a, t2f = q.t1_a, q.t1_f, q.t2_a, q.t2_f
-
-    def d(x, y):
-        return float(np.max(np.abs(x - y))) if np.size(x) else 0.0
-
-    # e.g. products_t1a[i, j] = T1A(e_i e_j) as a vector over the last axis
-    return {
-        # T1A(a b) = a T1A(b) + a . T2A(b)
-        "product_rule": d(np.einsum("ijm,km->ijk", ca, t1a),
-                          np.einsum("ikm,mj->ijk", blocks.a_left, t1a)
-                          + np.einsum("ikm,mj->ijk", blocks.mix_left, t2a)),
-        # T1A(a . b) = a T1F(b) + a . T2F(b)
-        "action_rule": d(np.einsum("ipm,km->ipk", act.right, t1a),
-                         np.einsum("ikm,mp->ipk", blocks.a_left, t1f)
-                         + np.einsum("ikm,mp->ipk", blocks.mix_left, t2f)),
-        # T2A vanishes on products and on right-action values
-        "t2a_kills_products": float(np.max(np.abs(
-            np.einsum("ijm,km->ijk", ca, t2a)))) if ca.size else 0.0,
-        "t2a_kills_action": float(np.max(np.abs(
-            np.einsum("ipm,km->ipk", act.right, t2a)))) if act.right.size else 0.0,
-        # module-map memberships
-        "t1a_module_map": d(np.einsum("pim,km->pik", act.left, t1a),
-                            np.einsum("pkm,mi->pik", blocks.act_left, t1a)),
-        "t1f_module_map": d(np.einsum("pqm,km->pqk", cf, t1f),
-                            np.einsum("pkm,mq->pqk", blocks.act_left, t1f)),
-        "t2a_module_map": d(np.einsum("pim,km->pik", act.left, t2a),
-                            np.einsum("pkm,mi->pik", blocks.f_left, t2a)),
-        "t2f_left_multiplier": d(np.einsum("pqm,km->pqk", cf, t2f),
-                                 np.einsum("pkm,mq->pqk", blocks.f_left, t2f)),
-    }
+    return block_residuals(multiplier_identities(a, f, act), q.blocks)
 
 
 def decompose_multiplier(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
@@ -116,8 +100,7 @@ def decompose_multiplier(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
     t_op = np.asarray(t_op, dtype=complex)
     if t_op.shape != (da + df, da + df):
         raise ShapeError("operator does not act on the duplication")
-    q = MultiplierQuadruple(t_op[:da, :da], t_op[:da, da:],
-                            t_op[da:, :da], t_op[da:, da:])
+    q = MultiplierQuadruple(*BlockLayout(da, df).split(t_op))
     defects = quadruple_defects(a, f, act, q)
     worst = max(defects.values())
     if worst > 10 * tol * max(1.0, float(np.max(np.abs(t_op)))):
@@ -135,86 +118,10 @@ def quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     exactly the identities reported by :func:`quadruple_defects`, so the
     dimension must equal ``dim LM`` of the duplication.
     """
-    da, df = a.dim, f.dim
-    blocks = DualActionBlocks.level0(a, f, act)
-    ca, cf = a.mult, f.mult
-    sizes = [da * da, da * df, df * da, df * df]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    rows: list[np.ndarray] = []
-
-    def row(slot: int, coeff_out: np.ndarray, coeff_in: np.ndarray) -> np.ndarray:
-        """The functional T_slot -> coeff_out^T T_slot coeff_in over vec'd unknowns."""
-        r = np.zeros(offs[-1], dtype=complex)
-        r[offs[slot]:offs[slot + 1]] = np.outer(coeff_out, coeff_in).reshape(-1)
-        return r
-
-    eye_a, eye_f = np.eye(da), np.eye(df)
-    # T1A(e_i e_j) - a_left[i] T1A e_j - mix_left[i] T2A e_j = 0
-    for i in range(da):
-        for j in range(da):
-            for k in range(da):
-                r = row(0, eye_a[k], ca[i, j])
-                r -= row(0, blocks.a_left[i][k], eye_a[j])
-                r -= row(2, blocks.mix_left[i][k], eye_a[j])
-                rows.append(r)
-    # T1A(e_i . f_p) - a_left[i] T1F e_p - mix_left[i] T2F e_p = 0
-    for i in range(da):
-        for p in range(df):
-            for k in range(da):
-                r = row(0, eye_a[k], act.right[i, p])
-                r -= row(1, blocks.a_left[i][k], eye_f[p])
-                r -= row(3, blocks.mix_left[i][k], eye_f[p])
-                rows.append(r)
-    # T2A(e_i e_j) = 0 and T2A(e_i . f_p) = 0
-    for i in range(da):
-        for j in range(da):
-            for k in range(df):
-                rows.append(row(2, eye_f[k], ca[i, j]))
-        for p in range(df):
-            for k in range(df):
-                rows.append(row(2, eye_f[k], act.right[i, p]))
-    # T1A(f_p . e_i) - act_left[p] T1A e_i = 0
-    for p in range(df):
-        for i in range(da):
-            for k in range(da):
-                r = row(0, eye_a[k], act.left[p, i])
-                r -= row(0, blocks.act_left[p][k], eye_a[i])
-                rows.append(r)
-    # T1F(f_p f_q) - act_left[p] T1F e_q = 0
-    for p in range(df):
-        for qq in range(df):
-            for k in range(da):
-                r = row(1, eye_a[k], cf[p, qq])
-                r -= row(1, blocks.act_left[p][k], eye_f[qq])
-                rows.append(r)
-    # T2A(f_p . e_i) - f_left[p] T2A e_i = 0
-    for p in range(df):
-        for i in range(da):
-            for k in range(df):
-                r = row(2, eye_f[k], act.left[p, i])
-                r -= row(2, blocks.f_left[p][k], eye_a[i])
-                rows.append(r)
-    # T2F(f_p f_q) - f_left[p] T2F e_q = 0
-    for p in range(df):
-        for qq in range(df):
-            for k in range(df):
-                r = row(3, eye_f[k], cf[p, qq])
-                r -= row(3, blocks.f_left[p][k], eye_f[qq])
-                rows.append(r)
-
-    _, null = rank_nullspace(np.vstack(rows), tol)
+    system = block_system(multiplier_identities(a, f, act),
+                          BlockLayout(a.dim, f.dim))
+    _, null = rank_nullspace(system, tol)
     return null
-
-
-def quadruple_from_coords(a_dim: int, f_dim: int, coords) -> MultiplierQuadruple:
-    sizes = [a_dim * a_dim, a_dim * f_dim, f_dim * a_dim, f_dim * f_dim]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    coords = np.asarray(coords, dtype=complex).reshape(-1)
-    return MultiplierQuadruple(
-        coords[offs[0]:offs[1]].reshape(a_dim, a_dim),
-        coords[offs[1]:offs[2]].reshape(a_dim, f_dim),
-        coords[offs[2]:offs[3]].reshape(f_dim, a_dim),
-        coords[offs[3]:offs[4]].reshape(f_dim, f_dim))
 
 
 @dataclass(frozen=True)

@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from amaldup.algebra import duplicate, natural_action
-from amaldup.derivations import (amenability_predicates, cohomology,
-                                 corollary_dt_check, cyclic_amenability,
-                                 cyclic_derivation_space,
+from amaldup.derivations import (CYCLIC_IDENTITIES, amenability_predicates,
+                                 cohomology, corollary_dt_check,
+                                 cyclic_amenability, cyclic_derivation_space,
                                  cyclic_quadruple_defects,
+                                 cyclic_quadruple_space,
                                  decompose_derivation, derivation_defect,
+                                 derivation_identities,
                                  derivation_quadruple_space, derivation_space,
                                  DerivationQuadruple, inner_derivation,
                                  inner_space, is_inner_match,
                                  module_derivation_space, property_h,
-                                 quadruple_from_coords, unital_form_check,
-                                 weak_amenability)
-from amaldup.duals import duplication_nth_dual, nth_dual_bimodule
+                                 unital_form_check, weak_amenability)
+from amaldup.duals import (BlockLayout, block_residuals, block_system,
+                           duplication_nth_dual, nth_dual_bimodule)
 from amaldup.errors import HypothesisNotMet, UnitRequired
-from amaldup.linalg import subspace_intersect
+from amaldup.linalg import rank_nullspace, subspace_intersect
+from amaldup.multipliers import multiplier_identities
 
 from conftest import pointwise_algebra, scalar_algebra, zero_algebra
 
@@ -129,7 +132,7 @@ class TestDecomposition:
         for triple in (zero_pair, lau_unital, module_extension, triangular):
             a, f, act = triple
             dup = duplicate(a, f, act)
-            for n in (0, 1, 2):
+            for n in (0, 1, 2, 3):
                 direct = derivation_space(dup, nth_dual_bimodule(dup, n)).dim
                 blockwise = derivation_quadruple_space(a, f, act, n).dim
                 assert direct == blockwise, (triple[0].labels, n)
@@ -137,11 +140,12 @@ class TestDecomposition:
     def test_quadruple_coords_assemble_to_derivations(self, triangular):
         a, f, act = triangular
         dup = duplicate(a, f, act)
-        for n in (0, 1, 2):
+        layout = BlockLayout(a.dim, f.dim)
+        for n in (0, 1, 2, 3):
             space = derivation_quadruple_space(a, f, act, n)
             bim = nth_dual_bimodule(dup, n)
             for col in range(space.dim):
-                q = quadruple_from_coords(a.dim, f.dim, space.basis[:, col], n)
+                q = DerivationQuadruple(*layout.blocks(space.basis[:, col]), n)
                 assert derivation_defect(dup.mult, bim, q.assemble()) < 1e-8
 
     def test_even_inner_roundtrip(self, triangular):
@@ -166,10 +170,12 @@ class TestCyclic:
         d = space.basis[:, 0].reshape(2, 2)
         assert np.max(np.abs(d + d.T)) < 1e-9
 
-    def test_cyclic_blocks_characterization(self, zero_pair, lau_unital):
-        for a, f, act in (zero_pair, lau_unital):
+    def test_cyclic_blocks_characterization(self, zero_pair, lau_unital,
+                                            module_extension, triangular):
+        for a, f, act in (zero_pair, lau_unital, module_extension, triangular):
             dup = duplicate(a, f, act)
             space = cyclic_derivation_space(dup)
+            assert cyclic_quadruple_space(a, f, act).dim == space.dim
             for col in range(space.dim):
                 d = space.basis[:, col].reshape(dup.dim, dup.dim)
                 q = DerivationQuadruple.split(a.dim, d, 1)
@@ -181,6 +187,38 @@ class TestCyclic:
         q = DerivationQuadruple.split(1, np.eye(2), 1)
         defects = cyclic_quadruple_defects(a, f, act, q)
         assert defects["d1a_antisymmetric"] > 0.5
+
+
+class TestBlockIdentities:
+    def test_residuals_and_rows_come_from_one_statement(
+            self, zero_pair, lau_unital, module_extension, triangular):
+        # each identity's residual is the max-abs of its own rows of the
+        # generated system applied to vec(q), and the system's nullspace
+        # satisfies every identity
+        rng = np.random.default_rng(31)
+        for a, f, act in (zero_pair, lau_unital, module_extension, triangular):
+            layout = BlockLayout(a.dim, f.dim)
+            tables = [derivation_identities(a, f, act, n) for n in range(4)]
+            tables.append(derivation_identities(a, f, act, 1)
+                          + list(CYCLIC_IDENTITIES))
+            tables.append(multiplier_identities(a, f, act))
+            for identities in tables:
+                size = layout.offsets[-1]
+                coords = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                residuals = block_residuals(identities, layout.blocks(coords))
+                system = block_system(identities, layout)
+                start = 0
+                for ident in identities:
+                    stop = start + ident.row_count(layout)
+                    from_rows = np.max(np.abs(system[start:stop] @ coords))
+                    assert residuals[ident.name] == pytest.approx(
+                        from_rows, rel=1e-12, abs=1e-12), ident.name
+                    start = stop
+                assert start == len(system)
+                _, null = rank_nullspace(system)
+                for col in range(null.dim):
+                    blocks = layout.blocks(null.basis[:, col])
+                    assert max(block_residuals(identities, blocks).values()) <= 1e-10
 
 
 class TestCorollaryDT:
@@ -234,13 +272,17 @@ class TestUnitalForm:
 
 
 class TestPropertyH:
+    # levels 1 and 3 (n = 0 and 1) agree: the dual tower has period 2
+
     def test_unital_first_factor(self, lau_unital):
         a, f, act = lau_unital
         assert property_h(a, f, act, 0)
+        assert property_h(a, f, act, 1)
 
     def test_natural_self_action(self):
         alg = pointwise_algebra(2)
         assert property_h(alg, alg, natural_action(alg), 0)
+        assert property_h(alg, alg, natural_action(alg), 1)
 
     def test_scalar_action_zero_product_fails(self, module_extension):
         # A = C with the zero product, F acting through the identity
@@ -249,12 +291,14 @@ class TestPropertyH:
         # derivations of A extend; D1A = id is not cyclic, hence False.
         a, f, act = module_extension
         assert not property_h(a, f, act, 0)
+        assert not property_h(a, f, act, 1)
 
     def test_zero_pair(self, zero_pair):
         # with both products and the action zero the extension system is
         # homogeneous, so every derivation extends
         a, f, act = zero_pair
         assert property_h(a, f, act, 0)
+        assert property_h(a, f, act, 1)
 
 
 class TestAmenability:

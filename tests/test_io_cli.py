@@ -12,6 +12,18 @@ from amaldup.errors import DuplicateEntry, ParseError
 from amaldup.sampling import random_triple
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "block_route_cli.json")
+
+# The commands whose answers come from the block identities, keyed as in
+# the golden file.
+BLOCK_ROUTE_COMMANDS = {
+    "multipliers": ["multipliers"],
+    **{f"derivations-level-{n}": ["derivations", "--level", str(n)]
+       for n in range(4)},
+    "cyclic": ["cyclic"],
+    **{f"property-h-n-{n}": ["property-h", "--n", str(n)] for n in range(2)},
+    "amenability": ["amenability"],
+}
 
 
 def fixture_path(name):
@@ -164,6 +176,23 @@ class TestCli:
         assert code == 0
         rows = {r["id"]: r["value"] for r in json.loads(report)["results"]}
         assert rows["weakly-amenable-level-1"]["duplication"] is True
+
+    def test_block_route_commands_match_golden(self):
+        # tests/golden/block_route_cli.json holds the exit code and JSON
+        # report of each command on each fixture, recorded before the block
+        # identities were generated from one table; the reports carry only
+        # ints, bools and statuses, so they must match exactly
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        assert sorted(golden) == sorted(os.path.splitext(name)[0]
+                                        for name in os.listdir(FIXDIR))
+        for fixture, expected in golden.items():
+            assert sorted(expected) == sorted(BLOCK_ROUTE_COMMANDS)
+            for key, argv in BLOCK_ROUTE_COMMANDS.items():
+                code, report = run_command(
+                    argv + [fixture_path(fixture), "--format", "json"])
+                got = {"exit": code, "report": json.loads(report)}
+                assert got == expected[key], (fixture, key)
 
 
 class TestEmitReport:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from amaldup.algebra import duplicate
+from amaldup.duals import BlockLayout
 from amaldup.errors import DecompositionDefect
-from amaldup.multipliers import (corollary_form_check, decompose_multiplier,
-                                 left_multiplier_space, multiplier_space,
-                                 quadruple_from_coords, quadruple_space)
+from amaldup.multipliers import (MultiplierQuadruple, corollary_form_check,
+                                 decompose_multiplier, left_multiplier_space,
+                                 multiplier_space, quadruple_space)
 
 from conftest import scalar_algebra, zero_algebra
 
@@ -79,8 +80,9 @@ class TestQuadrupleDimension:
     def test_quadruple_coords_roundtrip(self, triangular):
         a, f, act = triangular
         space = quadruple_space(a, f, act)
+        layout = BlockLayout(a.dim, f.dim)
         for col in range(space.dim):
-            q = quadruple_from_coords(a.dim, f.dim, space.basis[:, col])
+            q = MultiplierQuadruple(*layout.blocks(space.basis[:, col]))
             t_op = q.assemble()
             # assembled operator must be a genuine left multiplier
             dup = duplicate(a, f, act)
