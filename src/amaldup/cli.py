@@ -18,8 +18,7 @@ import numpy as np
 from . import audit as audit_mod
 from .algebra import duplicate, span_products, validate_action, validate_algebra
 from .bundles import AlgebraBundle, algebra_to_obj, parse_bundle
-from .derivations import (cohomology, derivation_quadruple_space, property_h,
-                          weak_amenability)
+from .derivations import cohomology, derivation_quadruple_space, property_h
 from .duals import (arens_products, essentiality,
                     second_dual_duplication_defect, topological_centres)
 from .errors import DuplicateEntry, ParseError
@@ -280,14 +279,15 @@ def cmd_derivations(args):
     a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
     dup = duplicate(a, f, act, args.tol)
     n = args.level
+    reports = {tag: cohomology(alg, n, tol=args.tol)
+               for tag, alg in (("a", a), ("f", f), ("duplication", dup))}
     rows = []
-    for tag, alg in (("a", a), ("f", f), ("duplication", dup)):
-        rep = cohomology(alg, n, tol=args.tol)
+    for tag, rep in reports.items():
         rows.append(_row(f"cohomology-{tag}", "info",
                          value={"Z1": rep.dim_z1, "B1": rep.dim_b1,
                                 "H1": rep.dim_h1}))
     blockwise = derivation_quadruple_space(a, f, act, n, args.tol).dim
-    direct = cohomology(dup, n, tol=args.tol).dim_z1
+    direct = reports["duplication"].dim_z1
     rows.append(_row("block-system-dim", "info", value=blockwise))
     rows.append(_row("dimensions-agree",
                      "pass" if blockwise == direct else "fail"))
@@ -320,16 +320,18 @@ def cmd_amenability(args):
     bundle = _load(args)
     a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
     dup = duplicate(a, f, act, args.tol)
+    algebras = {"a": a, "f": f, "duplication": dup}
+    # one report per (algebra, level); level 1 also carries the cyclic rows
+    reports = {(tag, n): cohomology(alg, n, tol=args.tol)
+               for n in {*range(args.max_level + 1), 1}
+               for tag, alg in algebras.items()}
     rows = []
     for n in range(args.max_level + 1):
         rows.append(_row(f"weakly-amenable-level-{n}", "info", value={
-            "a": weak_amenability(a, n, args.tol),
-            "f": weak_amenability(f, n, args.tol),
-            "duplication": weak_amenability(dup, n, args.tol)}))
-    for tag, alg in (("a", a), ("f", f), ("duplication", dup)):
-        rep = cohomology(alg, 1, tol=args.tol)
+            tag: reports[tag, n].weakly_amenable for tag in algebras}))
+    for tag in algebras:
         rows.append(_row(f"cyclically-amenable-{tag}", "info",
-                         value=rep.cyclically_amenable))
+                         value=reports[tag, 1].cyclically_amenable))
     rows.append(_row("hypothesis-flags", "info", value={
         "squares-span-a": span_products(a, "squares", tol=args.tol).dim == a.dim,
         "essential-level-2": essentiality(a, f, act, 2, "algebra_left", args.tol),

@@ -43,15 +43,15 @@ def derivation_constraints(mult: np.ndarray, bim: DualBimodule) -> np.ndarray:
     """Leibniz constraint matrix over vec(D), rows for every basis pair."""
     n = mult.shape[0]
     dx = bim.module_dim
-    eye = np.eye(n)
-    blocks = []
-    for i in range(n):
-        for j in range(n):
-            block = np.kron(np.eye(dx), mult[i, j][None, :])
-            block = block - np.kron(bim.right_ops[j], eye[i][None, :])
-            block = block - np.kron(bim.left_ops[i], eye[j][None, :])
-            blocks.append(block)
-    return np.vstack(blocks) if blocks else np.zeros((0, dx * n))
+    eye_n, eye_x = np.eye(n), np.eye(dx)
+    # axes (i, j, k | l, m): row (i, j, k) is entry k of
+    # D(e_i e_j) - D(e_i).e_j - e_i.D(e_j), column (l, m) is D[l, m].
+    # Each term is a broadcast product, not an einsum sum from +0.0, so
+    # every entry, signed zeros included, is that of the Kronecker form
+    rows = (eye_x[None, None, :, :, None] * mult[:, :, None, None, :]
+            - bim.right_ops[None, :, :, :, None] * eye_n[:, None, None, None, :]
+            - bim.left_ops[:, None, :, :, None] * eye_n[None, :, None, None, :])
+    return rows.reshape(n * n * dx, dx * n)
 
 
 def derivation_space(alg: FinDimAlgebra, bim: DualBimodule,

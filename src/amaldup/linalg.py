@@ -136,11 +136,17 @@ def rank_nullspace(m, tol: float = DEFAULT_TOL,
     the optional absolute floor lets callers declare a scale below which
     the matrix counts as zero (otherwise a matrix of pure round-off noise
     would be assigned full rank).
+
+    A tall or square matrix gets the thin SVD: its ``cols`` right singular
+    vectors already span C^cols, and the rows x rows U, which nothing
+    reads, is never built. A wide matrix keeps the full V^H, since the
+    thin one has only ``rows`` of the ``cols`` rows and would drop the
+    nullspace directions beyond them.
     """
     m = as_cmatrix(m)
     if m.size == 0:
         return 0, Subspace.full(m.shape[1], tol) if m.shape[1] else Subspace.zero(0, tol)
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     smax = s[0] if s.size else 0.0
     cut = max(tol * smax, atol)
     rank = int(np.sum(s > cut)) if smax > 0 else 0

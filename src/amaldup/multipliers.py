@@ -42,8 +42,12 @@ def commutant_constraints(ops: np.ndarray) -> np.ndarray:
     """Rows of ``T @ op - op @ T = 0`` over vec(T), stacked for all ops."""
     d = ops.shape[1]
     eye = np.eye(d)
-    blocks = [np.kron(eye, op.T) - np.kron(op, eye) for op in ops]
-    return np.vstack(blocks) if blocks else np.zeros((0, d * d))
+    # axes (o, a, b | c, e): row (o, a, b) is entry (a, b) of
+    # T op_o - op_o T, column (c, e) is T[c, e]
+    ops_t = np.swapaxes(ops, 1, 2)
+    rows = (eye[None, :, None, :, None] * ops_t[:, None, :, None, :]
+            - ops[:, :, None, :, None] * eye[None, None, :, None, :])
+    return rows.reshape(len(ops) * d * d, d * d)
 
 
 def multiplier_space(alg: FinDimAlgebra, side: str = "left",

@@ -7,7 +7,8 @@ from amaldup.derivations import (CYCLIC_IDENTITIES, amenability_predicates,
                                  cyclic_amenability, cyclic_derivation_space,
                                  cyclic_quadruple_defects,
                                  cyclic_quadruple_space,
-                                 decompose_derivation, derivation_defect,
+                                 decompose_derivation,
+                                 derivation_constraints, derivation_defect,
                                  derivation_identities,
                                  derivation_quadruple_space, derivation_space,
                                  DerivationQuadruple, inner_derivation,
@@ -18,7 +19,8 @@ from amaldup.duals import (BlockLayout, block_residuals, block_system,
                            duplication_nth_dual, nth_dual_bimodule)
 from amaldup.errors import HypothesisNotMet, UnitRequired
 from amaldup.linalg import rank_nullspace, subspace_intersect
-from amaldup.multipliers import multiplier_identities
+from amaldup.multipliers import commutant_constraints, multiplier_identities
+from amaldup.sampling import random_triple
 
 from conftest import pointwise_algebra, scalar_algebra, zero_algebra
 
@@ -219,6 +221,51 @@ class TestBlockIdentities:
                 for col in range(null.dim):
                     blocks = layout.blocks(null.basis[:, col])
                     assert max(block_residuals(identities, blocks).values()) <= 1e-10
+
+
+def kron_derivation_constraints(mult, bim):
+    """Reference: the Leibniz rows of one basis pair at a time, by kron."""
+    n, dx = mult.shape[0], bim.module_dim
+    eye = np.eye(n)
+    blocks = []
+    for i in range(n):
+        for j in range(n):
+            block = np.kron(np.eye(dx), mult[i, j][None, :])
+            block = block - np.kron(bim.right_ops[j], eye[i][None, :])
+            block = block - np.kron(bim.left_ops[i], eye[j][None, :])
+            blocks.append(block)
+    return np.vstack(blocks)
+
+
+def kron_commutant_constraints(ops):
+    """Reference: the rows of ``T op - op T`` one operator at a time."""
+    eye = np.eye(ops.shape[1])
+    return np.vstack([np.kron(eye, op.T) - np.kron(op, eye) for op in ops])
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestDirectSystems:
+    def test_builders_match_kron_reference(
+            self, zero_pair, lau_unital, module_extension, triangular):
+        # the vectorised builders form the same products in the same row
+        # order and subtract in the same order as the per-pair kron, so the
+        # matrices agree bit for bit, signed zeros included
+        rng = np.random.default_rng(7)
+        triples = [zero_pair, lau_unital, module_extension, triangular]
+        triples += [random_triple(rng)[:3] for _ in range(6)]
+        for a, f, act in triples:
+            for alg in (a, f, duplicate(a, f, act, validate=False)):
+                for n in range(4):
+                    bim = nth_dual_bimodule(alg, n)
+                    assert same_bits(derivation_constraints(alg.mult, bim),
+                                     kron_derivation_constraints(alg.mult, bim))
+                for op in (alg.left_op, alg.right_op):
+                    ops = np.stack([op(e) for e in np.eye(alg.dim)])
+                    assert same_bits(commutant_constraints(ops),
+                                     kron_commutant_constraints(ops))
 
 
 class TestCorollaryDT:

@@ -38,17 +38,35 @@ class TestRankNullspace:
         with pytest.raises(InvalidMatrix):
             rank_nullspace(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 6))
+    @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_rank_plus_nullity(self, seed, rows, cols):
+        # tall and wide shapes: rank and nullity agree with a full SVD
         rng = np.random.default_rng(seed)
         m = random_complex(rng, rows, cols)
         if seed % 3 == 0 and cols > 1:  # force rank deficiency sometimes
             m[:, -1] = m[:, 0]
         rank, null = rank_nullspace(m)
+        _, s, vh = np.linalg.svd(m, full_matrices=True)
+        full_rank = int(np.sum(s > 1e-9 * s[0]))
+        assert rank == full_rank
+        assert null.dim == cols - full_rank
         assert rank + null.dim == cols
         if null.dim:
             assert np.max(np.abs(m @ null.basis)) < 1e-9 * max(1, np.max(np.abs(m)))
+            full_null = vh[full_rank:].conj().T
+            assert np.allclose(null.projector(), full_null @ full_null.conj().T,
+                               atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_single_row_keeps_wide_nullspace(self, n):
+        # a 1 x n row has nullity n - 1: the n - 1 directions beyond the
+        # first row of V^H must survive
+        v = random_complex(np.random.default_rng(n), n)
+        rank, null = rank_nullspace(v.reshape(1, -1))
+        assert rank == 1
+        assert null.dim == n - 1
+        assert np.max(np.abs(v @ null.basis), initial=0.0) < 1e-12 * np.linalg.norm(v)
 
 
 class TestSolveAffine:
