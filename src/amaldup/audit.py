@@ -93,7 +93,7 @@ def audit_spectrum(trials: int = 100, seed: int = 0, tol: float = DEFAULT_TOL,
     for _ in range(trials):
         a, f, act, recipe = random_triple(rng, commutative_symmetric=True)
         try:
-            duplication_spectrum(a, f, act, tol, seed=0, match_tol=match_tol)
+            duplication_spectrum(a, f, act, tol, match_tol=match_tol)
         except SpectrumTheoremViolation as exc:
             union_failures.append(_witness(a, f, act, recipe,
                                            f"spectrum: {exc}"))

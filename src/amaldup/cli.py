@@ -18,8 +18,9 @@ import numpy as np
 from . import audit as audit_mod
 from .algebra import duplicate, span_products, validate_action, validate_algebra
 from .bundles import AlgebraBundle, algebra_to_obj, parse_bundle
-from .derivations import cohomology, derivation_quadruple_space, property_h
-from .duals import (arens_products, essentiality,
+from .derivations import (cohomology, derivation_quadruple_space,
+                          derivation_space, property_h)
+from .duals import (arens_products, essentiality, nth_dual_bimodule,
                     second_dual_duplication_defect, topological_centres)
 from .errors import DuplicateEntry, ParseError
 from .ideals import is_ideal, product_ideal_test, project_components
@@ -62,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-9,
                         help="comparison tolerance (default 1e-9)")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized computations")
 
     parser = argparse.ArgumentParser(
         prog="amaldup",
@@ -107,6 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle", nargs="?",
                    help="optional bundle to include as a deterministic case")
     p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the randomized audit")
     p.set_defaults(handler=cmd_check)
     return parser
 
@@ -161,7 +162,7 @@ def cmd_duplicate(args):
 def cmd_spectrum(args):
     bundle = _load(args)
     e_list, f_list, sigma = duplication_spectrum(
-        bundle.algebra_a, bundle.algebra_f, bundle.action, args.tol, args.seed)
+        bundle.algebra_a, bundle.algebra_f, bundle.action, args.tol)
     rows = [_row("character-count", "info", value=len(sigma))]
     for k, chi in enumerate(sigma):
         if any(np.max(np.abs(chi - e)) <= 1e-6 for e in e_list):
@@ -191,7 +192,7 @@ def cmd_semisimple(args):
             rows.append(_row(f"semisimple-{tag}", "info",
                              value="not commutative; skipped"))
             continue
-        flags[tag] = gelfand_semisimple(alg, args.tol, args.seed)
+        flags[tag] = gelfand_semisimple(alg, args.tol)
         rows.append(_row(f"semisimple-{tag}", "info", value=flags[tag]))
     if len(flags) == 3:
         ok = flags["duplication"] == (flags["a"] and flags["f"])
@@ -370,7 +371,7 @@ def _bundle_checks(bundle: AlgebraBundle, tol: float):
                      "pass" if direct == blockwise else "fail",
                      value={"direct": direct, "blocks": blockwise}))
     for n in (0, 1, 2):
-        dz = cohomology(dup, n, tol=tol).dim_z1
+        dz = derivation_space(dup, nth_dual_bimodule(dup, n), tol).dim
         bz = derivation_quadruple_space(a, f, act, n, tol).dim
         rows.append(_row(f"bundle-derivation-dimension-level-{n}",
                          "pass" if dz == bz else "fail",

@@ -60,7 +60,8 @@ def multiplier_space(alg: FinDimAlgebra, side: str = "left",
         ops = np.stack([alg.right_op(e) for e in eye])
     else:
         raise ValueError(f"unknown side {side!r}")
-    _, null = rank_nullspace(commutant_constraints(ops), tol)
+    _, null = rank_nullspace(commutant_constraints(ops), tol,
+                             atol=tol * float(np.max(np.abs(ops))))
     return null
 
 
@@ -124,7 +125,9 @@ def quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     """
     system = block_system(multiplier_identities(a, f, act),
                           BlockLayout(a.dim, f.dim))
-    _, null = rank_nullspace(system, tol)
+    scale = max(float(np.max(np.abs(t)))
+                for t in (a.mult, f.mult, act.left, act.right))
+    _, null = rank_nullspace(system, tol, atol=tol * scale)
     return null
 
 

@@ -1,27 +1,25 @@
 """Characters, companion functionals and the spectrum of a duplication.
 
 A character is a nonzero multiplicative linear functional, stored as a
-coordinate covector.  The search routine exploits that every character
-``chi`` is an eigenvector of the transpose of any left-multiplication
-operator ``L_g`` with eigenvalue ``chi(g)``:
+coordinate covector.  Extraction is plain linear algebra with no random
+probes:
 
-  1. draw a seeded generic element ``g`` and split the covector space
-     into the kernels of ``L_g^T - lambda`` over the eigenvalues of
-     ``L_g^T``;
-  2. pieces of dimension one are candidate rays; larger pieces are split
-     again by fresh generic elements (distinct characters disagree on a
-     generic element, so collisions die off);
-  3. every candidate ray is scaled into a multiplicative functional,
-     polished by Gauss-Newton, stripped of its components on the
-     Jacobson radical (where true characters vanish but eigenvector
-     extraction is only eps^(1/3)-accurate), and verified against the
-     full multiplicativity system -- false positives are impossible at
-     the working tolerance.
-
-Pieces that survive all rounds with a nonzero eigenvalue path occur for
-algebras whose regular representation acts by scalars there; the single
-character such a piece can contain is recovered directly and verified.
-An unverifiable leftover raises :class:`DegenerateSpectrum`.
+  1. Every character vanishes on the Jacobson radical and on the
+     commutators ``e_i e_j - e_j e_i``; call their span ``S``.  Modulo
+     the radical the algebra is a sum of matrix blocks ``M_{n_i}``, the
+     covectors annihilating ``S`` are the block traces, and those that
+     also annihilate ``A S`` are the traces of the ``1 x 1`` blocks --
+     exactly the characters.  So the characters span the annihilator of
+     ``S + A S``: one nullspace computation.
+  2. On that span the transposed left multiplications ``L_j^T`` commute
+     and are diagonal in the character basis, with ``chi(e_j)`` as the
+     eigenvalue of ``chi``.  Splitting the span by the eigenspaces of
+     ``L_0^T, L_1^T, ...`` in turn leaves one line per character, since
+     distinct characters differ on some basis vector.
+  3. Each line is read off as ``chi_j = psi^H L_j^T psi`` for its unit
+     vector ``psi`` and verified against the full multiplicativity
+     system.  A piece that no basis operator splits raises
+     :class:`DegenerateSpectrum`.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .algebra import BimoduleAction, FinDimAlgebra, duplicate, join_element
 from .errors import (CommutativityRequired, DegenerateSpectrum, NotACharacter,
                      IncompatibleAction, SpectrumTheoremViolation)
 from .linalg import DEFAULT_TOL, Subspace, as_cvector, rank_nullspace
-
-_SPLIT_BUDGET = 6
 
 
 @dataclass(frozen=True)
@@ -57,71 +53,57 @@ def multiplicativity_defect(alg: FinDimAlgebra, chi: np.ndarray) -> float:
     return float(np.max(np.abs(values - np.outer(chi, chi))))
 
 
-def characters(alg: FinDimAlgebra, tol: float = DEFAULT_TOL,
-               seed: int = 0) -> list[Character]:
-    """All characters of ``alg``, deterministic for a given seed."""
+def characters(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> list[Character]:
+    """All characters of ``alg``, by the annihilator of ``rad + [A, A]``."""
     n = alg.dim
-    rng = np.random.default_rng(seed)
-    probes = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-              for _ in range(_SPLIT_BUDGET + 2)]
+    scale = float(np.max(np.abs(alg.mult)))
+    if scale == 0.0:
+        return []
+    mult = alg.mult / scale
+    rows, cols = np.triu_indices(n, 1)
+    s = np.vstack([radical_subspace(alg, tol).basis.T,
+                   mult[rows, cols] - mult[cols, rows]])
+    a_s = np.einsum("jik,si->jsk", mult, s).reshape(-1, n)
+    _, span = rank_nullspace(np.vstack([s, a_s]), tol, atol=tol * n)
+
+    pieces = [span.basis] if span.dim else []
+    for op in mult:  # L_j^T acts on covectors as mult[j]
+        pieces = [part for piece in pieces for part in _split(op, piece, tol)]
 
     found: list[np.ndarray] = []
-    rays: list[np.ndarray] = []
-    # each active piece: (basis matrix, max |eigenvalue| seen along its path)
-    active: list[tuple[np.ndarray, float]] = [(np.eye(n, dtype=complex), 0.0)]
-    for g in probes[:_SPLIT_BUDGET]:
-        if not active:
-            break
-        op = alg.left_op(g).T
-        lams = _clustered_eigenvalues(op, tol)
-        next_active: list[tuple[np.ndarray, float]] = []
-        for basis, path_mag in active:
-            for lam in lams:
-                reduced = (op - lam * np.eye(n)) @ basis
-                _, coeff_null = rank_nullspace(reduced, max(tol, 1e-12))
-                if coeff_null.dim == 0:
-                    continue
-                piece = basis @ coeff_null.basis
-                mag = max(path_mag, abs(lam))
-                if piece.shape[1] == 1:
-                    rays.append(piece[:, 0])
-                else:
-                    next_active.append((piece, mag))
-        active = next_active
-
-    rad = radical_subspace(alg, tol)
-    for ray in rays:
-        chi = _normalize_ray(alg, ray, probes, tol)
-        if chi is not None:
-            chi = _refine(alg, chi, rad)
-            if _accept_candidate(alg, chi, tol):
-                _record(found, chi, tol)
-
-    for basis, path_mag in active:
-        if path_mag <= max(100 * tol, 1e-7):
-            continue  # no character can sit at a persistently tiny eigenvalue
-        chi = _extract_scalar_block_character(alg, basis, probes, tol)
-        if chi is None:
+    for piece in pieces:
+        if piece.shape[1] > 1:
             raise DegenerateSpectrum(
-                f"{basis.shape[1]}-dim joint eigenspace with nonzero "
-                "eigenvalues could not be resolved into characters")
-        chi = _refine(alg, chi, rad)
+                f"{piece.shape[1]}-dim joint eigenspace of the basis "
+                "operators could not be split into characters")
+        psi = piece[:, 0]
+        chi = np.einsum("i,jik,k->j", psi.conj(), mult, psi) * scale
         if _accept_candidate(alg, chi, tol):
             _record(found, chi, tol)
-
     found.sort(key=_sort_key)
     return [Character(chi, multiplicativity_defect(alg, chi)) for chi in found]
 
 
-def _clustered_eigenvalues(op: np.ndarray, tol: float) -> list[complex]:
-    lams = np.linalg.eigvals(op)
-    scale = max(1.0, float(np.max(np.abs(lams))) if lams.size else 1.0)
-    ctol = max(1e3 * tol, 1e-8) * scale
-    reps: list[complex] = []
-    for lam in sorted(lams, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
-        if all(abs(lam - r) > ctol for r in reps):
-            reps.append(complex(lam))
-    return reps
+def _split(op: np.ndarray, piece: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Eigenspaces of ``op`` restricted to the invariant span of ``piece``."""
+    if piece.shape[1] == 1:
+        return [piece]
+    reduced = piece.conj().T @ op @ piece
+    lams = np.linalg.eigvals(reduced)
+    scale = max(1.0, float(np.max(np.abs(lams))))
+    clusters: list[complex] = []
+    for lam in lams:
+        if all(abs(lam - c) > 1e3 * tol * scale for c in clusters):
+            clusters.append(complex(lam))
+    if len(clusters) == 1:
+        return [piece]
+    eye = np.eye(piece.shape[1])
+    parts = []
+    for lam in clusters:
+        _, null = rank_nullspace(reduced - lam * eye, tol, atol=tol * scale)
+        if null.dim:
+            parts.append(piece @ null.basis)
+    return parts
 
 
 def _accept_candidate(alg, chi, tol) -> bool:
@@ -154,67 +136,6 @@ def radical_subspace(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subspace:
     scale = max(1.0, alg.dim * float(np.max(np.abs(alg.mult))))
     _, null = rank_nullspace(system, tol, atol=tol * scale ** 2)
     return null
-
-
-def _refine(alg, chi: np.ndarray, rad: Subspace, steps: int = 8) -> np.ndarray:
-    """Polish an approximate character: Gauss-Newton plus radical cleanup.
-
-    Characters sitting over a nontrivial radical are multiple roots of
-    the multiplicativity system (eigenvector extraction locates them only
-    to about eps^(1/3) along radical directions, and Newton stalls there
-    because the near-singular Jacobian amplifies round-off).  Newton
-    therefore only polishes the well-conditioned directions, and the
-    radical components -- on which every true character vanishes -- are
-    projected away exactly.
-    """
-    n = alg.dim
-    eye = np.eye(n)
-    for _ in range(steps):
-        resid = (np.einsum("ijm,m->ij", alg.mult, chi)
-                 - np.outer(chi, chi)).reshape(-1)
-        if np.max(np.abs(resid)) < 1e-14 * max(1.0, float(np.max(np.abs(chi)))):
-            break
-        jac = (alg.mult
-               - np.einsum("im,j->ijm", eye, chi)
-               - np.einsum("i,jm->ijm", chi, eye)).reshape(n * n, n)
-        step = np.linalg.lstsq(jac, -resid, rcond=1e-7)[0]
-        chi = chi + step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    if rad.dim:
-        chi = chi - rad.basis.conj() @ (rad.basis.T @ chi)
-    return chi
-
-
-def _normalize_ray(alg, ray, probes, tol) -> np.ndarray | None:
-    """Scale an eigen-ray into a multiplicative functional, or reject it."""
-    nrm = np.linalg.norm(ray)
-    if nrm == 0:
-        return None
-    v = ray / nrm
-    for p in probes:
-        vp = v @ p
-        if abs(vp) < 1e-3:  # keep the quotient below well-conditioned
-            continue
-        c = (v @ alg.multiply(p, p)) / vp ** 2
-        if abs(c) < 1e-9:
-            return None  # chi(p) != 0 would force chi(p^2) != 0
-        chi = c * v
-        return chi if _accept_candidate(alg, chi, tol) else None
-    return None
-
-
-def _extract_scalar_block_character(alg, basis, probes, tol) -> np.ndarray | None:
-    """Character inside a joint eigenspace on which multiplication is scalar."""
-    w = basis[:, 0]
-    for p in probes:
-        wp = w @ p
-        if abs(wp) < 1e-3:
-            continue
-        mu = np.array([(w @ alg.multiply(e, p)) / wp
-                       for e in np.eye(alg.dim)])
-        return mu if _accept_candidate(alg, mu, tol) else None
-    return None
 
 
 def _record(found: list[np.ndarray], chi: np.ndarray, tol: float) -> None:
@@ -286,8 +207,7 @@ def tilde(phi: Character | np.ndarray, a: FinDimAlgebra, f: FinDimAlgebra,
 
 
 def duplication_spectrum(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                         tol: float = DEFAULT_TOL, seed: int = 0,
-                         match_tol: float | None = None):
+                         tol: float = DEFAULT_TOL, match_tol: float | None = None):
     """Assembled and direct spectra of the duplication, cross-checked.
 
     Returns ``(e_list, f_list, sigma)`` where ``e_list`` lifts each
@@ -299,13 +219,13 @@ def duplication_spectrum(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
     if match_tol is None:
         match_tol = 10 * tol
     e_list = []
-    for phi in characters(a, tol, seed):
+    for phi in characters(a, tol):
         e_list.append(join_element(phi.phi, tilde(phi, a, f, act, tol)))
     f_list = [join_element(np.zeros(a.dim), psi.phi)
-              for psi in characters(f, tol, seed)]
+              for psi in characters(f, tol)]
 
     dup = duplicate(a, f, act, tol)
-    sigma = [chi.phi for chi in characters(dup, tol, seed)]
+    sigma = [chi.phi for chi in characters(dup, tol)]
 
     for e_chi in e_list:
         for f_chi in f_list:
@@ -319,8 +239,7 @@ def duplication_spectrum(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
     return e_list, f_list, sigma
 
 
-def gelfand_semisimple(alg: FinDimAlgebra, tol: float = DEFAULT_TOL,
-                       seed: int = 0) -> bool:
+def gelfand_semisimple(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> bool:
     """True when the characters jointly separate points.
 
     Only defined for commutative algebras; equivalent to the coordinate
@@ -328,7 +247,7 @@ def gelfand_semisimple(alg: FinDimAlgebra, tol: float = DEFAULT_TOL,
     """
     if not alg.is_commutative(tol):
         raise CommutativityRequired("algebra is not commutative at tol")
-    chars = characters(alg, tol, seed)
+    chars = characters(alg, tol)
     if not chars:
         return False
     stack = np.array([chi.phi for chi in chars])

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from amaldup.algebra import duplicate
+from amaldup.algebra import FinDimAlgebra, duplicate, natural_action
 from amaldup.duals import BlockLayout
 from amaldup.errors import DecompositionDefect
 from amaldup.multipliers import (MultiplierQuadruple, corollary_form_check,
                                  decompose_multiplier, left_multiplier_space,
                                  multiplier_space, quadruple_space)
+from amaldup.sampling import _left_scalar, _transform_core, random_unitary
 
 from conftest import scalar_algebra, zero_algebra
 
@@ -40,6 +41,14 @@ class TestMultiplierSpace:
         rng = np.random.default_rng(12)
         x = rng.standard_normal(2)
         assert space.contains_vector(dup.left_op(x).reshape(-1), 1e-8)
+
+
+    def test_left_scalar_every_operator(self):
+        # every left multiplication is a scalar, so every operator commutes
+        # with all of them; the commutant system is pure round-off
+        core = _left_scalar(np.array([1.0, -0.5, 0.25]))
+        moved = _transform_core(core, random_unitary(np.random.default_rng(8), 3))
+        assert left_multiplier_space(FinDimAlgebra.from_mult(moved.mult)).dim == 9
 
 
 class TestDecompose:
@@ -103,3 +112,10 @@ class TestCorollary:
     def test_module_extension_identity_action(self, module_extension):
         report = corollary_form_check(*module_extension)
         assert report.hypothesis_held and report.conclusion_verified
+
+    def test_left_scalar_bundle(self):
+        core = _left_scalar(np.array([1.0, 0.5]))
+        moved = _transform_core(core, random_unitary(np.random.default_rng(9), 2))
+        a = FinDimAlgebra.from_mult(moved.mult)
+        rep = corollary_form_check(a, a, natural_action(a))
+        assert rep.hypothesis_held and rep.conclusion_verified

@@ -4,6 +4,8 @@ import pytest
 from amaldup.algebra import (BimoduleAction, FinDimAlgebra, duplicate,
                              natural_action, span_products)
 from amaldup.errors import CommutativityRequired, NotACharacter
+from amaldup.sampling import (Core, _commutative_cores, _noncommutative_cores,
+                              _transform_core, random_unitary)
 from amaldup.spectrum import (characters, characters_match,
                               duplication_spectrum, gelfand_semisimple,
                               multiplicativity_defect, tilde)
@@ -29,6 +31,50 @@ def left_scalar_algebra(mu):
         for j in range(d):
             c[i, j, j] = mu[i]
     return FinDimAlgebra.from_mult(c)
+
+
+def matrix_algebra(n):
+    """M_n on the basis E_ij (row-major): E_ij E_jl = E_il."""
+    c = np.zeros((n * n,) * 3)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i * n + j, j * n + k, i * n + k] = 1.0
+    return c
+
+
+def group_algebra(elements, compose):
+    """C[G] on the basis of group elements."""
+    index = {g: k for k, g in enumerate(elements)}
+    m = len(elements)
+    c = np.zeros((m, m, m))
+    for g in elements:
+        for h in elements:
+            c[index[g], index[h], index[compose(g, h)]] = 1.0
+    return c
+
+
+def block_sum(c1, c2):
+    n, m = c1.shape[0], c2.shape[0]
+    c = np.zeros((n + m,) * 3)
+    c[:n, :n, :n] = c1
+    c[n:, n:, n:] = c2
+    return c
+
+
+def change_basis(core, s):
+    """Structure constants and characters of ``core`` in the basis ``s``."""
+    mult = np.einsum("ai,bj,abk,mk->ijm", s, s, core.mult, np.linalg.inv(s))
+    return mult, [s.T @ chi for chi in core.characters]
+
+
+def conditioned(rng, n, cond):
+    """A random basis change with condition number ``cond``."""
+    spread = np.diag(np.geomspace(1.0, cond, n))
+    return random_unitary(rng, n) @ spread @ random_unitary(rng, n)
+
+
+CORES = _commutative_cores() + _noncommutative_cores()
 
 
 class TestCharacters:
@@ -61,27 +107,51 @@ class TestCharacters:
             assert c.residual <= 1e-9
 
     def test_local_algebra_single_character(self):
-        # every generic element has a repeated eigenvalue here, so this
-        # exercises the subspace-splitting path
+        # the radical is two-dimensional and every basis operator has a
+        # repeated eigenvalue; only the unit's coefficient survives
         chars = characters(local_algebra_dim3())
         assert len(chars) == 1
         assert np.allclose(chars[0].phi, [1.0, 0.0, 0.0], atol=1e-8)
 
     def test_left_scalar_algebra_extraction(self):
-        # left multiplications are scalar on the whole space: the splitting
-        # never isolates rays and the leftover-extraction path must fire
+        # left multiplications are scalar on the whole space, so no
+        # eigenvalue separates anything; the commutators e_i e_j - e_j e_i
+        # cut the covector space down to the single character
         mu = np.array([0.5, -0.25])
         chars = characters(left_scalar_algebra(mu))
         assert len(chars) == 1
         assert np.allclose(chars[0].phi, mu, atol=1e-8)
 
-    def test_seed_stability(self):
-        dup_chars = [
-            [c.phi for c in characters(pointwise_algebra(3), seed=s)]
-            for s in (0, 1, 12345)
-        ]
-        assert characters_match(dup_chars[0], dup_chars[1], 1e-7)
-        assert characters_match(dup_chars[0], dup_chars[2], 1e-7)
+    @pytest.mark.parametrize("core", CORES, ids=lambda core: core.name)
+    def test_every_core_in_any_basis(self, core):
+        # the known characters of each sampler core, moved by the same
+        # basis change as its structure constants
+        rng = np.random.default_rng(3)
+        changes = [_transform_core(core, random_unitary(rng, core.dim))
+                   for _ in range(20)]
+        changes += [Core(core.name, *change_basis(core, conditioned(rng, core.dim, cond)))
+                    for cond in (10.0, 100.0) for _ in range(5)]
+        for moved in changes:
+            got = [c.phi for c in characters(FinDimAlgebra.from_mult(moved.mult))]
+            size = max([1.0] + [float(np.max(np.abs(chi))) for chi in moved.characters])
+            assert characters_match(got, list(moved.characters), 1e-7 * size)
+
+    def test_closed_form_counts(self):
+        s3 = [tuple(p) for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2),
+                                 (1, 2, 0), (2, 0, 1), (2, 1, 0))]
+        cases = {
+            "M2": (matrix_algebra(2), 0),
+            "M3": (matrix_algebra(3), 0),
+            # one-dimensional representations: trivial and sign
+            "C[S3]": (group_algebra(s3, lambda g, h: tuple(g[h[i]] for i in range(3))), 2),
+            "C[Z4]": (group_algebra(range(4), lambda g, h: (g + h) % 4), 4),
+            "M2+C": (block_sum(matrix_algebra(2), np.ones((1, 1, 1))), 1),
+        }
+        rng = np.random.default_rng(4)
+        for name, (mult, count) in cases.items():
+            moved = _transform_core(Core(name, mult), random_unitary(rng, mult.shape[0]))
+            for c in (mult, moved.mult):
+                assert len(characters(FinDimAlgebra.from_mult(c))) == count, name
 
     def test_truncated_polynomials(self):
         c = np.zeros((3, 3, 3))
