@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import FinDimAlgebra, duplicate, span_products, validate_algebra
-from .bundles import bundle_from_triple, bundle_to_obj
+from .bundles import algebra_to_obj, bundle_from_triple, bundle_to_obj
 from .derivations import (cyclic_amenability, derivation_quadruple_space,
                           derivation_space, decompose_derivation,
                           inner_derivation, is_inner_match, property_h,
@@ -25,10 +25,9 @@ from .duals import (arens_products, duplication_nth_dual, essentiality,
                     nth_dual_bimodule, second_dual_duplication_defect,
                     topological_centres)
 from .errors import InternalInconsistency, SpectrumTheoremViolation
-from .ideals import (block_subspace, coset_direction_grid, ideal_generated,
-                     is_ideal, is_maximal_left_ideal,
-                     maximality_direction_oracle, product_ideal_test,
-                     project_components)
+from .ideals import (block_subspace, ideal_generated, is_ideal,
+                     is_maximal_left_ideal, maximality_direction_oracle,
+                     product_ideal_test, project_components)
 from .linalg import DEFAULT_TOL, Subspace, subspace_equal
 from .multipliers import (decompose_multiplier, left_multiplier_space,
                           quadruple_space)
@@ -455,9 +454,13 @@ def maximality_pool(count: int = 20, seed: int = 0) -> list[FinDimAlgebra]:
 
 
 def audit_maximality(pool_count: int = 20, per_instance: int = 5,
-                     grid_points: int = 1000, seed: int = 0,
-                     tol: float = DEFAULT_TOL) -> AuditRow:
-    """Burnside maximality against the direction-grid oracle."""
+                     seed: int = 0, tol: float = DEFAULT_TOL) -> AuditRow:
+    """Burnside maximality against the eigen-direction oracle.
+
+    An inconclusive oracle (None) counts as a disagreement. A failure's
+    witness carries the algebra and the ideal's spanning vectors in the
+    ``[re, im]`` format of ``amaldup ideals --subspace``.
+    """
     failures = []
     checked = 0
     rng = np.random.default_rng(seed)
@@ -473,14 +476,14 @@ def audit_maximality(pool_count: int = 20, per_instance: int = 5,
                 continue
             found += 1
             checked += 1
-            grid = coset_direction_grid(alg, cand, grid_points,
-                                        seed=seed + checked)
             burnside = is_maximal_left_ideal(alg, cand, tol)
-            oracle = maximality_direction_oracle(alg, cand, grid, tol=tol)
+            oracle = maximality_direction_oracle(alg, cand, tol=tol)
             if burnside != oracle:
+                vectors = np.stack([cand.basis.T.real, cand.basis.T.imag], -1)
                 failures.append({"note": f"pool {idx} ideal dim {cand.dim}: "
                                          f"burnside {burnside} oracle {oracle}",
-                                 "bundle": None})
+                                 "algebra": algebra_to_obj(alg),
+                                 "subspace": {"vectors": vectors.tolist()}})
     return _row("maximality-burnside-vs-oracle", checked, failures)
 
 
@@ -498,5 +501,5 @@ def run_full_audit(trials: int = 40, seed: int = 0,
     rows += audit_ideals(trials, seed, tol)
     rows.append(audit_splitting(trials, seed, tol))
     rows.append(audit_maximal_blocks(trials, seed, tol))
-    rows.append(audit_maximality(10, 3, 200, seed, tol))
+    rows.append(audit_maximality(10, 3, seed, tol))
     return rows

@@ -9,7 +9,10 @@ Maximality is decided by operator density: a proper left ideal is
 maximal exactly when the quotient module is simple over the unitized
 algebra, which over C holds exactly when the multiplicative closure of
 the induced quotient operators is the whole operator algebra of the
-quotient.
+quotient.  A second, seed-free route grows the ideal from the
+eigen-directions of one fixed combination of the quotient operators and
+certifies simplicity by Norton's irreducibility test, answering None
+rather than guess when no eigenvalue of the combination is simple.
 """
 
 from __future__ import annotations
@@ -37,28 +40,28 @@ class ProductIdealReport:
                 and self.i_submodule and self.a_dot_j_inside_i)
 
 
-def _side_ops(alg: FinDimAlgebra, side: str) -> list[np.ndarray]:
-    left = [alg.left_op(e) for e in np.eye(alg.dim)]
-    right = [alg.right_op(e) for e in np.eye(alg.dim)]
+def _pick_side(left: np.ndarray, right: np.ndarray, side: str) -> np.ndarray:
     if side == "left":
         return left
     if side == "right":
         return right
     if side == "two_sided":
-        return left + right
+        return np.concatenate([left, right])
     raise ValueError(f"unknown side {side!r}")
+
+
+def _side_ops(alg: FinDimAlgebra, side: str) -> np.ndarray:
+    """Stacked basis multiplication operators, as ``duals.algebra_bimodule``."""
+    return _pick_side(np.transpose(alg.mult, (0, 2, 1)),   # L(e_i)[k, j]
+                      np.transpose(alg.mult, (1, 2, 0)),   # R(e_j)[k, i]
+                      side)
 
 
 def ideal_defect(alg: FinDimAlgebra, s: Subspace, side: str = "left") -> float:
     """Largest distance of a basis product from the subspace."""
     if s.ambient_dim != alg.dim:
         raise ShapeError("subspace ambient dimension differs from the algebra")
-    if s.dim == 0:
-        return 0.0
-    worst = 0.0
-    for op in _side_ops(alg, side):
-        worst = max(worst, s.residual(op @ s.basis))
-    return worst
+    return s.residual(np.concatenate(_side_ops(alg, side) @ s.basis, axis=1))
 
 
 def is_ideal(alg: FinDimAlgebra, s: Subspace, side: str = "left",
@@ -68,16 +71,10 @@ def is_ideal(alg: FinDimAlgebra, s: Subspace, side: str = "left",
 
 def submodule_defect(act: BimoduleAction, s: Subspace, side: str = "left") -> float:
     """Distance of F-action images of the subspace from the subspace."""
-    df = act.left.shape[0]
-    worst = 0.0
-    if s.dim == 0:
-        return 0.0
-    for p in range(df):
-        if side in ("left", "two_sided"):
-            worst = max(worst, s.residual(act.left_op(np.eye(df)[p]) @ s.basis))
-        if side in ("right", "two_sided"):
-            worst = max(worst, s.residual(act.right_op(np.eye(df)[p]) @ s.basis))
-    return worst
+    ops = _pick_side(np.transpose(act.left, (0, 2, 1)),    # (beta_p . x)[k, i]
+                     np.transpose(act.right, (1, 2, 0)),   # (x . beta_p)[k, i]
+                     side)
+    return s.residual(np.concatenate(ops @ s.basis, axis=1))
 
 
 def block_subspace(i_sub: Subspace, j_sub: Subspace) -> Subspace:
@@ -133,11 +130,8 @@ def ideal_generated(alg: FinDimAlgebra, seeds, side: str = "left",
     span = Subspace.from_spanning(list(seeds), alg.dim, tol)
     ops = _side_ops(alg, side)
     while True:
-        new_vectors = [op @ span.basis for op in ops]
-        grown = subspace_sum(
-            span, Subspace.from_spanning(
-                np.hstack(new_vectors) if new_vectors else [],
-                alg.dim, tol))
+        grown = subspace_sum(span, Subspace.from_spanning(
+            np.concatenate(ops @ span.basis, axis=1), alg.dim, tol))
         if grown.dim == span.dim:
             return grown
         span = grown
@@ -146,10 +140,8 @@ def ideal_generated(alg: FinDimAlgebra, seeds, side: str = "left",
 def quotient_operators(alg: FinDimAlgebra, i_sub: Subspace,
                        side: str = "left") -> np.ndarray:
     """Induced basis operators on the orthogonal model of alg / I."""
-    _, compl = rank_nullspace(i_sub.basis.conj().T, i_sub.tol)
-    q = compl.basis  # (n, k) orthonormal complement of I
-    return np.stack([q.conj().T @ op @ q for op in _side_ops(alg, side)]) \
-        if q.shape[1] else np.zeros((alg.dim, 0, 0), dtype=complex)
+    q = rank_nullspace(i_sub.basis.conj().T, i_sub.tol)[1].basis  # I's complement
+    return q.conj().T @ _side_ops(alg, side) @ q
 
 
 def operator_algebra_dimension(ops: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -186,73 +178,59 @@ def is_maximal_left_ideal(alg: FinDimAlgebra, i_sub: Subspace,
     return operator_algebra_dimension(ops, tol) == k * k
 
 
-def maximality_direction_oracle(alg: FinDimAlgebra, i_sub: Subspace,
-                                directions, side: str = "left",
-                                tol: float = DEFAULT_TOL) -> bool:
-    """Second route to maximality: grow the ideal along probe directions.
+def _closure_dim(ops: np.ndarray, mat: np.ndarray, tol: float) -> int:
+    """Dimension of the smallest ops-invariant subspace holding mat's
+    (linearly independent) columns; one SVD per growth round."""
+    n, dim = mat.shape
+    while True:
+        grown = np.hstack([mat] + list(ops @ mat))
+        u, s, _ = np.linalg.svd(grown, full_matrices=False)
+        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+        if rank <= dim or rank == n:
+            return rank
+        mat, dim = u[:, :rank], rank
 
-    A proper ideal is maximal iff adjoining any vector outside it
-    generates the whole algebra; this checks the supplied direction set,
-    so its reliability rests on the directions hitting every intermediate
-    ideal (eigenvector directions of quotient operators do, generically).
+
+# Ratio c of the fixed combination sum_j c^(j+1) op_j probed by the oracle.
+_MIX_RATIO = 0.8 * np.exp(0.5j)
+
+
+def maximality_direction_oracle(alg: FinDimAlgebra, i_sub: Subspace,
+                                side: str = "left",
+                                tol: float = DEFAULT_TOL) -> bool | None:
+    """Second route to maximality: grow the ideal from eigen-directions.
+
+    For each eigenvalue lam of one fixed combination ``mix`` of the
+    operators on V = alg / I, theta = mix - lam is singular. Every right
+    kernel vector v of theta is grown with I into an ideal, and every left
+    one u into a submodule of the dual V* (the annihilator of I, under the
+    transposed operators). A probe that generates less than everything
+    shows an intermediate ideal: False. If all generate everything and
+    some lam has a one-dimensional kernel, Norton's irreducibility test
+    (Holt and Rees, J. Austral. Math. Soc. A 57, 1994) certifies that V is
+    simple: True. Otherwise None. The kernels' floor ``tol * max|mix|``
+    keeps a scalar quotient's round-off from reading as a simple kernel.
     """
     if not is_ideal(alg, i_sub, side, tol) or i_sub.dim >= alg.dim:
         raise NotAProperIdeal("input is not a proper one-sided ideal")
-    ops = np.stack(_side_ops(alg, side))
-    n = alg.dim
-    for v in directions:
-        v = np.asarray(v, dtype=complex)
-        if i_sub.contains_vector(v):
-            continue
-        # closure of span(I + v) under the action, via one SVD per round
-        mat = np.hstack([i_sub.basis, (v / np.linalg.norm(v)).reshape(-1, 1)])
-        dim = mat.shape[1]
-        while True:
-            grown = np.hstack([mat] + list(ops @ mat))
-            u, s, _ = np.linalg.svd(grown, full_matrices=False)
-            rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-            if rank == dim or rank == n:
-                dim = rank
-                break
-            mat, dim = u[:, :rank], rank
-        if dim < n:
-            return False
-    return True
-
-
-def coset_direction_grid(alg: FinDimAlgebra, i_sub: Subspace, count: int,
-                         seed: int = 0, side: str = "left") -> list[np.ndarray]:
-    """Deterministic probe directions outside an ideal.
-
-    Mixes a small-coefficient lattice over the quotient complement with
-    eigenvector directions of generic combinations of the quotient
-    operators (any intermediate ideal is invariant, so it contains an
-    eigenvector of a generic combination), then pads with seeded random
-    directions up to ``count``.
-    """
-    _, compl = rank_nullspace(i_sub.basis.conj().T, i_sub.tol)
-    q = compl.basis
+    ops = _side_ops(alg, side)
+    q = rank_nullspace(i_sub.basis.conj().T, i_sub.tol)[1].basis  # I's complement
     k = q.shape[1]
-    out: list[np.ndarray] = []
-    coeffs = np.array([1.0, -1.0, 1.0j, -1.0j, 0.0])
-    lattice = [np.zeros(0)] if k == 0 else np.stack(
-        np.meshgrid(*([coeffs] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    for c in lattice:
-        if k and np.any(c != 0):
-            out.append(q @ c)
-        if len(out) >= count:
-            return out[:count]
-    ops = quotient_operators(alg, i_sub, side)
-    rng = np.random.default_rng(seed)
-    for _ in range(3):
-        w = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
-        mix = np.einsum("p,pij->ij", w, ops) if len(ops) else np.zeros((k, k))
-        if mix.size == 0:
-            break
-        _, vecs = np.linalg.eig(mix)
-        for col in vecs.T:
-            out.append(q @ col)
-    while len(out) < count:
-        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        out.append(q @ c)
-    return out[:count]
+    weights = _MIX_RATIO ** np.arange(1, len(ops) + 1)
+    mix = q.conj().T @ np.tensordot(weights, ops, axes=1) @ q
+    floor = tol * float(np.max(np.abs(mix)))
+    certified = False
+    for lam in np.linalg.eigvals(mix):
+        theta = mix - lam * np.eye(k)
+        _, right = rank_nullspace(theta, tol, atol=floor)
+        _, left = rank_nullspace(theta.T, tol, atol=floor)
+        for v in right.basis.T:
+            probe = np.column_stack([i_sub.basis, q @ v])
+            if _closure_dim(ops, probe, tol) < alg.dim:
+                return False
+        for u in left.basis.T:
+            probe = (q.conj() @ u).reshape(-1, 1)
+            if _closure_dim(ops.transpose(0, 2, 1), probe, tol) < k:
+                return False
+        certified = certified or right.dim == 1
+    return True if certified else None

@@ -17,6 +17,7 @@ import pytest
 
 from amaldup.algebra import (BimoduleAction, FinDimAlgebra,
                              canonical_construction)
+from amaldup.sampling import random_unitary
 
 
 def scalar_algebra(label="e"):
@@ -34,6 +35,22 @@ def pointwise_algebra(dim=2):
     for i in range(dim):
         c[i, i, i] = 1.0
     return FinDimAlgebra.from_mult(c)
+
+
+def matrix_algebra(n):
+    """M_n on the basis E_ij (row-major): E_ij E_jl = E_il."""
+    c = np.zeros((n * n,) * 3)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c[i * n + j, j * n + k, i * n + k] = 1.0
+    return c
+
+
+def conditioned(rng, n, cond):
+    """A random basis change with condition number ``cond``."""
+    spread = np.diag(np.geomspace(1.0, cond, n))
+    return random_unitary(rng, n) @ spread @ random_unitary(rng, n)
 
 
 @pytest.fixture

@@ -1,20 +1,43 @@
+import json
+
 import numpy as np
 import pytest
 
-from amaldup.algebra import duplicate
+from amaldup import audit
+from amaldup.algebra import FinDimAlgebra, duplicate
+from amaldup.bundles import parse_algebra
+from amaldup.cli import _load_subspace
 from amaldup.errors import NotAProperIdeal
-from amaldup.ideals import (block_subspace, coset_direction_grid,
+from amaldup.ideals import (_MIX_RATIO, block_subspace, ideal_defect,
                             ideal_generated, is_ideal, is_maximal_left_ideal,
                             maximality_direction_oracle, product_ideal_test,
-                            project_components)
-from amaldup.linalg import Subspace, subspace_equal
+                            project_components, submodule_defect)
+from amaldup.linalg import Subspace, rank_nullspace, subspace_equal
+from amaldup.sampling import random_triple, random_unitary
 
-from conftest import pointwise_algebra
+from conftest import conditioned, matrix_algebra, pointwise_algebra
 
 
 def span(vectors, ambient):
     return Subspace.from_spanning([np.asarray(v, dtype=complex) for v in vectors],
                                   ambient)
+
+
+def in_basis(mult, s, vectors):
+    """The algebra on the basis given by the columns of ``s``, and the span
+    of the given vectors in the new coordinates."""
+    sinv = np.linalg.inv(s)
+    alg = FinDimAlgebra.from_mult(np.einsum("ai,bj,abk,mk->ijm", s, s, mult, sinv))
+    return alg, span([sinv @ np.asarray(v, dtype=complex) for v in vectors], len(s))
+
+
+def annihilator_vectors(n, kernel):
+    """Spanning vectors of {X in M_n : X k = 0 for every k in ``kernel``}:
+    the rank-one a b^T with b^T k = 0, row-major."""
+    if not kernel:
+        return []
+    _, b = rank_nullspace(np.array(kernel, dtype=complex))
+    return [np.kron(a, col) for a in np.eye(n) for col in b.basis.T]
 
 
 class TestIsIdeal:
@@ -37,6 +60,32 @@ class TestIsIdeal:
         # span{E11} is a left ideal but not a right ideal: E11 E12 = E12
         assert is_ideal(dup, span([[0, 1, 0]], 3), "left")
         assert not is_ideal(dup, span([[0, 1, 0]], 3), "right")
+
+
+class TestDefects:
+    def test_match_per_operator_loop(self):
+        # the stacked operators against one residual per basis operator
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            a, f, act, _ = random_triple(rng)
+            dup = duplicate(a, f, act, validate=False)
+            ops = {"left": [dup.left_op(e) for e in np.eye(dup.dim)],
+                   "right": [dup.right_op(e) for e in np.eye(dup.dim)]}
+            acts = {"left": [act.left_op(e) for e in np.eye(f.dim)],
+                    "right": [act.right_op(e) for e in np.eye(f.dim)]}
+            for table in (ops, acts):
+                table["two_sided"] = table["left"] + table["right"]
+            for side in ("left", "right", "two_sided"):
+                s_dup = span(rng.standard_normal((rng.integers(1, dup.dim), dup.dim)),
+                             dup.dim)
+                s_a = span(rng.standard_normal((rng.integers(1, a.dim + 1), a.dim)),
+                           a.dim)
+                assert ideal_defect(dup, s_dup, side) == pytest.approx(
+                    max(s_dup.residual(op @ s_dup.basis) for op in ops[side]),
+                    abs=1e-12)
+                assert submodule_defect(act, s_a, side) == pytest.approx(
+                    max(s_a.residual(op @ s_a.basis) for op in acts[side]),
+                    abs=1e-12)
 
 
 class TestProductIdealTest:
@@ -150,6 +199,77 @@ class TestMaximality:
             (pointwise_algebra(2), span([[1, 0]], 2)),
         ]
         for alg, ideal in cases:
-            grid = coset_direction_grid(alg, ideal, 200)
-            assert (maximality_direction_oracle(alg, ideal, grid)
+            assert (maximality_direction_oracle(alg, ideal)
                     == is_maximal_left_ideal(alg, ideal))
+
+    @pytest.mark.parametrize("n, kernel, maximal", [
+        (2, [[1, 2]], True),
+        (2, [], False),
+        (3, [[1, 2, -1j]], True),
+        (3, [[1, 2, -1j], [0, 1, 1]], False),
+        (3, [], False),
+    ])
+    def test_matrix_algebra_closed_form(self, n, kernel, maximal):
+        # L_v = {X : X v = 0} has the simple quotient C^n, so it is maximal;
+        # {0} and L_{v,w} have quotients (C^n)^n and (C^n)^2, so they are not
+        rng = np.random.default_rng(n)
+        for s in (random_unitary(rng, n * n), conditioned(rng, n * n, 10.0)):
+            alg, ideal = in_basis(matrix_algebra(n), s,
+                                  annihilator_vectors(n, kernel))
+            assert is_maximal_left_ideal(alg, ideal) is maximal
+            assert maximality_direction_oracle(alg, ideal) is maximal
+
+    def test_oracle_inconclusive_when_mix_is_scalar(self):
+        # a basis b_j of M_2 with sum_j c^(j+1) b_j = I makes the oracle's
+        # combination the identity on every quotient, so no eigenvalue has a
+        # one-dimensional kernel and nothing certifies the simple quotient
+        s = np.eye(4, dtype=complex)
+        s[:, 0] = (np.eye(2).reshape(-1)
+                   - s[:, 1:] @ _MIX_RATIO ** np.arange(2, 5)) / _MIX_RATIO
+        alg, ideal = in_basis(matrix_algebra(2), s, [[0, 1, 0, 0], [0, 0, 0, 1]])
+        assert is_maximal_left_ideal(alg, ideal)
+        assert maximality_direction_oracle(alg, ideal) is None
+
+    @pytest.mark.parametrize("excluded, cyclic", [
+        (((0, 1), (2, 1)), 0),
+        (((1, 0), (1, 2)), 1),
+    ], ids=["dual-probe", "right-probe"])
+    def test_oracle_probe_finds_hidden_submodule(self, excluded, cyclic):
+        # A = {X in M_3 : X e1 in C e1} and I = {X in A : X e0 = 0}, so
+        # A / I = C^3 with the submodule C e1. The basis makes the oracle's
+        # combination Z = diag(1, 2, 2): e0 spans the kernel for 1 and
+        # generates C^3, and a generic vector of span{e1, e2} does too, so
+        # only the dual probe for 1 (e0* generates span{e0*, e2*}) sees C e1.
+        # The transposed algebra, cut by the annihilator of e1, has the dual
+        # module as quotient, and there only the right probe for 1 sees it.
+        units = [(i, j) for i in range(3) for j in range(3)
+                 if (i, j) not in excluded]
+        index = {u: a for a, u in enumerate(units)}
+        mult = np.zeros((7, 7, 7))
+        for (i, j), a in index.items():
+            for (jj, k), b in index.items():
+                if j == jj:
+                    mult[a, b, index[(i, k)]] = 1.0
+        s = np.eye(7, dtype=complex)
+        z = np.array([{(0, 0): 1, (1, 1): 2, (2, 2): 2}.get(u, 0) for u in units])
+        s[:, 0] = (z - s[:, 1:] @ _MIX_RATIO ** np.arange(2, 8)) / _MIX_RATIO
+        alg, ideal = in_basis(mult, s, [np.eye(7)[index[u]] for u in units
+                                        if u[1] != cyclic])
+        assert not is_maximal_left_ideal(alg, ideal)
+        assert maximality_direction_oracle(alg, ideal) is False
+
+    def test_audit_failure_witness_replays(self, monkeypatch, tmp_path):
+        # an inconclusive oracle fails the row; the witness rebuilds the
+        # algebra and, through the `ideals --subspace` reader, the ideal
+        monkeypatch.setattr(audit, "maximality_direction_oracle",
+                            lambda *args, **kwargs: None)
+        row = audit.audit_maximality(pool_count=1, per_instance=1, seed=0)
+        assert row.status == "fail" and row.trials == 1
+        alg = parse_algebra(row.witness["algebra"])
+        path = tmp_path / "subspace.json"
+        path.write_text(json.dumps(row.witness["subspace"]))
+        ideal = _load_subspace(path, alg.dim, 1e-9)
+        assert is_ideal(alg, ideal) and 0 <= ideal.dim < alg.dim
+        assert (f"ideal dim {ideal.dim}: burnside "
+                f"{is_maximal_left_ideal(alg, ideal)} oracle None"
+                in row.witness["note"])

@@ -10,7 +10,8 @@ from amaldup.spectrum import (characters, characters_match,
                               duplication_spectrum, gelfand_semisimple,
                               multiplicativity_defect, tilde)
 
-from conftest import pointwise_algebra, scalar_algebra, zero_algebra
+from conftest import (conditioned, matrix_algebra, pointwise_algebra,
+                      scalar_algebra, zero_algebra)
 
 
 def local_algebra_dim3():
@@ -31,16 +32,6 @@ def left_scalar_algebra(mu):
         for j in range(d):
             c[i, j, j] = mu[i]
     return FinDimAlgebra.from_mult(c)
-
-
-def matrix_algebra(n):
-    """M_n on the basis E_ij (row-major): E_ij E_jl = E_il."""
-    c = np.zeros((n * n,) * 3)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i * n + j, j * n + k, i * n + k] = 1.0
-    return c
 
 
 def group_algebra(elements, compose):
@@ -66,12 +57,6 @@ def change_basis(core, s):
     """Structure constants and characters of ``core`` in the basis ``s``."""
     mult = np.einsum("ai,bj,abk,mk->ijm", s, s, core.mult, np.linalg.inv(s))
     return mult, [s.T @ chi for chi in core.characters]
-
-
-def conditioned(rng, n, cond):
-    """A random basis change with condition number ``cond``."""
-    spread = np.diag(np.geomspace(1.0, cond, n))
-    return random_unitary(rng, n) @ spread @ random_unitary(rng, n)
 
 
 CORES = _commutative_cores() + _noncommutative_cores()
