@@ -31,9 +31,9 @@ from .ideals import (block_subspace, ideal_generated, is_ideal,
 from .linalg import DEFAULT_TOL, Subspace, subspace_equal
 from .multipliers import (decompose_multiplier, left_multiplier_space,
                           quadruple_space)
-from .sampling import (random_left_ideal, random_triple, random_unitary,
-                       shrink_triple, _commutative_cores,
-                       _noncommutative_cores, _transform_core)
+from .sampling import (COMMUTATIVE_CORES, NONCOMMUTATIVE_CORES,
+                       random_left_ideal, random_triple, random_unitary,
+                       shrink_triple, _transform_core)
 from .spectrum import duplication_spectrum, gelfand_semisimple
 
 
@@ -248,14 +248,27 @@ def audit_transfers(trials: int = 100, seed: int = 0,
     for _ in range(trials):
         a, f, act, recipe = random_triple(rng)
         dup = duplicate(a, f, act)
+        memo = {}  # each predicate at most once per trial
+
+        def weak(alg, level):
+            key = ("weak", id(alg), level)
+            if key not in memo:
+                memo[key] = weak_amenability(alg, level, tol)
+            return memo[key]
+
+        def ext(n):
+            key = ("property_h", n)
+            if key not in memo:
+                memo[key] = property_h(a, f, act, n, tol)
+            return memo[key]
+
         for n in (0, 1):
             level = 2 * n + 1
-            if weak_amenability(dup, level, tol):
-                if not weak_amenability(f, level, tol):
+            if weak(dup, level):
+                if not weak(f, level):
                     fail["a"].append(_witness(a, f, act, recipe,
                                               f"(a) level {level}", v_a(level)))
-                if property_h(a, f, act, n, tol) \
-                        and not weak_amenability(a, level, tol):
+                if ext(n) and not weak(a, level):
                     fail["b"].append(_witness(a, f, act, recipe,
                                               f"(b) level {level}",
                                               v_b(level, n)))
@@ -266,12 +279,12 @@ def audit_transfers(trials: int = 100, seed: int = 0,
             fail["c"].append(_witness(a, f, act, recipe, "(c) sufficiency", v_c))
         if cdup and not cf:
             fail["c"].append(_witness(a, f, act, recipe, "(c) necessity for F"))
-        if cdup and property_h(a, f, act, 0, tol) and not ca:
+        if cdup and ext(0) and not ca:
             fail["c"].append(_witness(a, f, act, recipe, "(c) necessity for A"))
-        if weak_amenability(a, 3, tol) and weak_amenability(f, 3, tol) \
+        if weak(a, 3) and weak(f, 3) \
                 and (essentiality(a, f, act, 2, "algebra_left", tol)
                      or essentiality(a, f, act, 2, "algebra_right", tol)) \
-                and not weak_amenability(dup, 3, tol):
+                and not weak(dup, 3):
             fail["e"].append(_witness(a, f, act, recipe, "(e) sufficiency"))
     rng_u = np.random.default_rng(seed + 1)
     for _ in range(trials):
@@ -442,8 +455,7 @@ def audit_maximal_blocks(trials: int = 40, seed: int = 0,
 
 def maximality_pool(count: int = 20, seed: int = 0) -> list[FinDimAlgebra]:
     """A fixed pool of dim-3 algebras built from transformed cores."""
-    cores = [c for c in _commutative_cores() + _noncommutative_cores()
-             if c.dim == 3]
+    cores = [c for c in COMMUTATIVE_CORES + NONCOMMUTATIVE_CORES if c.dim == 3]
     rng = np.random.default_rng(seed)
     pool = []
     while len(pool) < count:

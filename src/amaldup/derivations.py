@@ -28,8 +28,9 @@ import numpy as np
 from .algebra import BimoduleAction, FinDimAlgebra, duplicate, span_products
 from .duals import (D1A, D1F, D2A, D2F, L, R, BlockIdentity, BlockLayout,
                     BlockQuadruple, DualBimodule, TransposedSum,
-                    block_residuals, block_system, duplication_dual_blocks,
-                    duplication_nth_dual, essentiality, nth_dual_bimodule)
+                    block_nullspace, block_residuals, block_system,
+                    duplication_dual_blocks, duplication_nth_dual,
+                    essentiality, nth_dual_bimodule, slot_system)
 from .errors import DecompositionDefect, HypothesisNotMet, UnitRequired
 from .linalg import (DEFAULT_TOL, Subspace, rank_nullspace, solve_affine,
                      subspace_intersect)
@@ -250,10 +251,8 @@ def derivation_quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra,
     dimension equals ``dim Z1(duplication, level n)`` when both the block
     identities and the direct Leibniz computation are right.
     """
-    system = block_system(derivation_identities(a, f, act, n),
-                          BlockLayout(a.dim, f.dim))
-    _, null = rank_nullspace(system, tol)
-    return null
+    return block_nullspace(derivation_identities(a, f, act, n),
+                           BlockLayout(a.dim, f.dim), tol)
 
 
 def cyclic_quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra,
@@ -267,9 +266,7 @@ def cyclic_quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra,
     the cyclic derivation space of the duplication.
     """
     identities = derivation_identities(a, f, act, 1) + list(CYCLIC_IDENTITIES)
-    system = block_system(identities, BlockLayout(a.dim, f.dim))
-    _, null = rank_nullspace(system, tol)
-    return null
+    return block_nullspace(identities, BlockLayout(a.dim, f.dim), tol)
 
 
 def is_inner_match(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
@@ -378,8 +375,8 @@ def module_derivation_space(a: FinDimAlgebra, f: FinDimAlgebra,
     if n % 2 == 1:
         raise ValueError("module derivations live at even dual levels")
     identities = [i for i in derivation_identities(a, f, act, n) if i.slot == D1A]
-    system = block_system(identities, BlockLayout(a.dim, f.dim))
-    _, null = rank_nullspace(system[:, :a.dim ** 2], tol)
+    _, null = rank_nullspace(
+        slot_system(identities, BlockLayout(a.dim, f.dim), D1A), tol)
     return null
 
 

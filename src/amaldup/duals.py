@@ -262,9 +262,16 @@ def duplication_nth_dual(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
 #
 # for a product or action tensor T and terms (side, slot t, family Op)
 # from the blockwise dual tower.  One BlockIdentity record yields both its
-# max-abs residual and its rows over vec(D1A) | vec(D1F) | vec(D2A) |
-# vec(D2F); a TransposedSum does the same for D_s + D_t^T = 0.  These
-# records are the block route only: the direct route never reads them.
+# max-abs residual and its rows, split by the slots whose columns they
+# touch, over vec(D1A) | vec(D1F) | vec(D2A) | vec(D2F); a TransposedSum
+# does the same for D_s + D_t^T = 0.  Most identities touch one slot
+# only, so block_nullspace solves in two stages: each slot's local
+# identities over that slot's columns, then the coupling identities in
+# the coordinates of the local nullspaces.  Every stage cuts at the same
+# absolute floor, tol * max(1, largest entry of the joint system), so a
+# local system of pure round-off is not promoted to full rank by its own
+# relative cut.  These records are the block route only: the direct route
+# never reads them.
 
 D1A, D1F, D2A, D2F = range(4)
 L, R = "L", "R"
@@ -285,9 +292,13 @@ class BlockLayout:
         dims = (self.a_dim, self.f_dim)
         return dims[slot // 2], dims[slot % 2]
 
+    def size(self, slot: int) -> int:
+        p, q = self.shape(slot)
+        return p * q
+
     @property
     def offsets(self) -> np.ndarray:
-        return np.cumsum([0] + [np.prod(self.shape(s)) for s in range(4)])
+        return np.cumsum([0] + [self.size(s) for s in range(4)])
 
     def split(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
         """The four blocks of an operator on the duplication."""
@@ -332,6 +343,11 @@ class BlockIdentity(NamedTuple):
         x, y, _ = self.tensor.shape
         return x * y * layout.shape(self.slot)[0]
 
+    def scale(self) -> float:
+        """Largest entry of the tensor and the term operators."""
+        return max(float(np.max(np.abs(arr), initial=0.0))
+                   for arr in (self.tensor, *(ops for _, _, ops in self.terms)))
+
     def residual(self, blocks) -> float:
         r = np.einsum("xym,km->xyk", self.tensor, blocks[self.slot])
         for side, t, ops in self.terms:
@@ -339,15 +355,18 @@ class BlockIdentity(NamedTuple):
             r = r - np.einsum(spec, ops, blocks[t])
         return float(np.max(np.abs(r))) if r.size else 0.0
 
-    def fill(self, out: np.ndarray, layout: BlockLayout) -> None:
-        offs, s = layout.offsets, self.slot
-        eye = np.eye(layout.shape(s)[0])
-        out[:, offs[s]:offs[s + 1]] += np.einsum(
-            "xym,kl->xyklm", self.tensor, eye).reshape(len(out), -1)
+    def coefficients(self, layout: BlockLayout) -> dict[int, np.ndarray]:
+        """This identity's rows, split by the slots whose columns they touch."""
+        rows, s = self.row_count(layout), self.slot
+        cols = {s: np.zeros((rows, layout.size(s)), dtype=complex)}
+        cols[s] += np.einsum("xym,kl->xyklm", self.tensor,
+                             np.eye(layout.shape(s)[0])).reshape(rows, -1)
         for side, t, ops in self.terms:
             spec = "xkm,yz->xykmz" if side == L else "ykm,xz->xykmz"
-            out[:, offs[t]:offs[t + 1]] -= np.einsum(
-                spec, ops, np.eye(layout.shape(t)[1])).reshape(len(out), -1)
+            block = cols.setdefault(t, np.zeros((rows, layout.size(t)), dtype=complex))
+            block -= np.einsum(spec, ops,
+                               np.eye(layout.shape(t)[1])).reshape(rows, -1)
+        return cols
 
 
 class TransposedSum(NamedTuple):
@@ -358,17 +377,21 @@ class TransposedSum(NamedTuple):
     other: int
 
     def row_count(self, layout: BlockLayout) -> int:
-        return int(np.prod(layout.shape(self.slot)))
+        return layout.size(self.slot)
+
+    def scale(self) -> float:
+        return 1.0
 
     def residual(self, blocks) -> float:
         r = blocks[self.slot] + blocks[self.other].T
         return float(np.max(np.abs(r))) if r.size else 0.0
 
-    def fill(self, out: np.ndarray, layout: BlockLayout) -> None:
-        offs, (p, q) = layout.offsets, layout.shape(self.slot)
-        out[:, offs[self.slot]:offs[self.slot + 1]] += np.eye(p * q)
-        out[:, offs[self.other]:offs[self.other + 1]] += np.einsum(
-            "ka,mb->kmba", np.eye(p), np.eye(q)).reshape(p * q, -1)
+    def coefficients(self, layout: BlockLayout) -> dict[int, np.ndarray]:
+        p, q = layout.shape(self.slot)
+        cols = {self.slot: np.eye(p * q, dtype=complex)}
+        block = cols.setdefault(self.other, np.zeros((p * q, p * q), dtype=complex))
+        block += np.einsum("ka,mb->kmba", np.eye(p), np.eye(q)).reshape(p * q, -1)
+        return cols
 
 
 def block_residuals(identities, blocks) -> dict[str, float]:
@@ -379,11 +402,55 @@ def block_residuals(identities, blocks) -> dict[str, float]:
 def block_system(identities, layout: BlockLayout) -> np.ndarray:
     """All identities as one constraint matrix over vec coordinates."""
     sizes = [ident.row_count(layout) for ident in identities]
-    ends = np.cumsum([0] + sizes)
-    system = np.zeros((ends[-1], layout.offsets[-1]), dtype=complex)
+    ends, offs = np.cumsum([0] + sizes), layout.offsets
+    system = np.zeros((ends[-1], offs[-1]), dtype=complex)
     for ident, start, stop in zip(identities, ends[:-1], ends[1:]):
-        ident.fill(system[start:stop], layout)
+        for t, block in ident.coefficients(layout).items():
+            system[start:stop, offs[t]:offs[t + 1]] = block
     return system
+
+
+def slot_system(identities, layout: BlockLayout, slot: int) -> np.ndarray:
+    """The rows of identities that all touch ``slot``, over its columns only.
+
+    Equal to the slot's columns of :func:`block_system`; the other slots'
+    columns are never built.
+    """
+    return np.vstack([ident.coefficients(layout)[slot] for ident in identities])
+
+
+def block_nullspace(identities, layout: BlockLayout,
+                    tol: float = DEFAULT_TOL) -> Subspace:
+    """Nullspace of :func:`block_system`, solved slot by slot.
+
+    Stage 1 takes, for every slot s, the nullspace N_s of the identities
+    that touch s alone (all of C^size(s) when there are none).  Stage 2
+    multiplies each slot's columns of the coupling identities by N_s and
+    returns ``blockdiag(N_s) . null(reduced)``, an orthonormal basis since
+    the N_s have orthonormal columns on disjoint coordinates.  Each stage
+    cuts at ``max(tol * sigma_max, floor)`` with the one absolute floor
+    ``tol * max(1, largest tensor or operator entry)``, the scale of the
+    joint system's entries.
+    """
+    floor = tol * max([1.0] + [ident.scale() for ident in identities])
+    split = [(ident.row_count(layout), ident.coefficients(layout))
+             for ident in identities]
+    local = [[cols[s] for _, cols in split if cols.keys() == {s}]
+             for s in range(4)]
+    coupling = [(rows, cols) for rows, cols in split if len(cols) > 1]
+    nulls = [rank_nullspace(np.vstack(blocks), tol, floor)[1].basis if blocks
+             else np.eye(layout.size(s), dtype=complex)
+             for s, blocks in enumerate(local)]
+    ends = np.cumsum([0] + [n.shape[1] for n in nulls])
+    starts = np.cumsum([0] + [rows for rows, _ in coupling])
+    reduced = np.zeros((starts[-1], ends[-1]), dtype=complex)
+    for (_, cols), start, stop in zip(coupling, starts[:-1], starts[1:]):
+        for t, block in cols.items():
+            reduced[start:stop, ends[t]:ends[t + 1]] = block @ nulls[t]
+    _, null = rank_nullspace(reduced, tol, floor)
+    basis = np.vstack([n @ null.basis[ends[s]:ends[s + 1]]
+                       for s, n in enumerate(nulls)])
+    return Subspace(layout.offsets[-1], basis, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import numpy as np
 
 from .algebra import BimoduleAction, FinDimAlgebra, duplicate, span_products
 from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
-                    BlockQuadruple, DualActionBlocks, block_residuals,
-                    block_system)
+                    BlockQuadruple, DualActionBlocks, block_nullspace,
+                    block_residuals)
 from .errors import DecompositionDefect, ShapeError
 from .linalg import DEFAULT_TOL, Subspace, rank_nullspace
 
@@ -123,12 +123,8 @@ def quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     exactly the identities reported by :func:`quadruple_defects`, so the
     dimension must equal ``dim LM`` of the duplication.
     """
-    system = block_system(multiplier_identities(a, f, act),
-                          BlockLayout(a.dim, f.dim))
-    scale = max(float(np.max(np.abs(t)))
-                for t in (a.mult, f.mult, act.left, act.right))
-    _, null = rank_nullspace(system, tol, atol=tol * scale)
-    return null
+    return block_nullspace(multiplier_identities(a, f, act),
+                           BlockLayout(a.dim, f.dim), tol)
 
 
 @dataclass(frozen=True)

@@ -142,30 +142,32 @@ def _direct_sum(c1: Core, c2: Core) -> Core:
                 c1.commutative and c2.commutative)
 
 
-def _commutative_cores() -> list[Core]:
-    scalar = _trunc_poly(1)
-    cores = [
-        scalar, _zero(1),
-        _pointwise(2), _trunc_poly(2), _zero(2), _nilpotent(2),
-        _direct_sum(scalar, _zero(1)),
-        _pointwise(3), _trunc_poly(3), _local3(), _zero(3),
-        _direct_sum(_pointwise(2), _zero(1)),
-        _direct_sum(_trunc_poly(2), scalar),
-        _nilpotent(3),
-    ]
-    return cores
+def _frozen(core: Core) -> Core:
+    """The core with every array read-only, so a shared core cannot change."""
+    for arr in (core.mult, *core.characters, *core.idempotents):
+        arr.setflags(write=False)
+    return core
 
 
-def _noncommutative_cores() -> list[Core]:
-    return [
-        _left_scalar(np.array([1.0, 0.5])),
-        _left_scalar(np.array([1.0, -0.5, 0.25])),
-        _one_sided_unit2(),
-        _triangular_t2(),
-        _heisenberg3(),
-        _direct_sum(_one_sided_unit2(), _zero(1)),
-        _direct_sum(_left_scalar(np.array([1.0, 0.5])), _trunc_poly(1)),
-    ]
+# The catalogue, built once at import and shared by every draw.
+COMMUTATIVE_CORES = tuple(map(_frozen, (
+    _trunc_poly(1), _zero(1),
+    _pointwise(2), _trunc_poly(2), _zero(2), _nilpotent(2),
+    _direct_sum(_trunc_poly(1), _zero(1)),
+    _pointwise(3), _trunc_poly(3), _local3(), _zero(3),
+    _direct_sum(_pointwise(2), _zero(1)),
+    _direct_sum(_trunc_poly(2), _trunc_poly(1)),
+    _nilpotent(3),
+)))
+NONCOMMUTATIVE_CORES = tuple(map(_frozen, (
+    _left_scalar(np.array([1.0, 0.5])),
+    _left_scalar(np.array([1.0, -0.5, 0.25])),
+    _one_sided_unit2(),
+    _triangular_t2(),
+    _heisenberg3(),
+    _direct_sum(_one_sided_unit2(), _zero(1)),
+    _direct_sum(_left_scalar(np.array([1.0, 0.5])), _trunc_poly(1)),
+)))
 
 
 _UNITAL_COMM = ("trunc_poly1", "pointwise2", "trunc_poly2", "pointwise3",
@@ -229,12 +231,12 @@ def random_triple(rng: np.random.Generator, commutative_symmetric: bool = False,
     """One validated triple (A, F, action) plus the recipe that made it."""
     seed_echo = int(rng.integers(2 ** 31))
     sub = np.random.default_rng(seed_echo)
-    comm = _commutative_cores()
-    pool_a = comm if commutative_symmetric else comm + _noncommutative_cores()
+    comm = COMMUTATIVE_CORES
+    pool_a = comm if commutative_symmetric else comm + NONCOMMUTATIVE_CORES
     if unital_a:
         pool_a = [c for c in pool_a if c.name in _UNITAL_COMM
                   or (not commutative_symmetric and c.name == "triangular_t2")]
-    pool_f = comm if commutative_symmetric else comm + _noncommutative_cores()
+    pool_f = comm if commutative_symmetric else comm + NONCOMMUTATIVE_CORES
 
     for _ in range(40):
         a_core = pool_a[sub.integers(len(pool_a))]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amaldup.algebra import duplicate, natural_action
+from amaldup.algebra import FinDimAlgebra, duplicate, natural_action
 from amaldup.derivations import (CYCLIC_IDENTITIES, amenability_predicates,
                                  cohomology, corollary_dt_check,
                                  cyclic_amenability, cyclic_derivation_space,
@@ -15,12 +15,15 @@ from amaldup.derivations import (CYCLIC_IDENTITIES, amenability_predicates,
                                  inner_space, is_inner_match,
                                  module_derivation_space, property_h,
                                  unital_form_check, weak_amenability)
-from amaldup.duals import (BlockLayout, block_residuals, block_system,
-                           duplication_nth_dual, nth_dual_bimodule)
+from amaldup.duals import (BlockLayout, block_nullspace, block_residuals,
+                           block_system, duplication_nth_dual,
+                           nth_dual_bimodule, slot_system)
 from amaldup.errors import HypothesisNotMet, UnitRequired
-from amaldup.linalg import rank_nullspace, subspace_intersect
-from amaldup.multipliers import commutant_constraints, multiplier_identities
-from amaldup.sampling import random_triple
+from amaldup.linalg import (DEFAULT_TOL, rank_nullspace, subspace_equal,
+                            subspace_intersect)
+from amaldup.multipliers import (commutant_constraints, left_multiplier_space,
+                                 multiplier_identities, quadruple_space)
+from amaldup.sampling import random_triple, random_unitary
 
 from conftest import pointwise_algebra, scalar_algebra, zero_algebra
 
@@ -221,6 +224,129 @@ class TestBlockIdentities:
                 for col in range(null.dim):
                     blocks = layout.blocks(null.basis[:, col])
                     assert max(block_residuals(identities, blocks).values()) <= 1e-10
+
+
+def identity_tables(a, f, act):
+    """Every table the block route solves: levels 0-3, cyclic, multipliers."""
+    tables = {f"level{n}": derivation_identities(a, f, act, n) for n in range(4)}
+    tables["cyclic"] = derivation_identities(a, f, act, 1) + list(CYCLIC_IDENTITIES)
+    tables["multipliers"] = multiplier_identities(a, f, act)
+    return tables
+
+
+def joint_reference(identities, layout, tol=DEFAULT_TOL):
+    """One SVD of the whole block system, floored at its largest entry."""
+    system = block_system(identities, layout)
+    scale = max(1.0, float(np.max(np.abs(system))))
+    return system, scale, rank_nullspace(system, tol, tol * scale)[1]
+
+
+@pytest.fixture(scope="module")
+def zero_core_draws():
+    """Draws of random_triple at seed 11 with a zero-product A core.
+
+    Some of their slot-local systems are pure round-off; without the
+    shared absolute floor their own relative cut calls them full rank
+    (draw 383, zero3 A with one_sided_unit2 F: Z1 1 instead of 11).
+    """
+    rng = np.random.default_rng(11)
+    draws = [random_triple(rng) for _ in range(389)]
+    return [draws[i] for i in (167, 182, 207, 275, 302, 309, 342, 383, 388)]
+
+
+class TestStagedSolve:
+    def test_zero_product_cores_keep_their_dimensions(self, zero_core_draws):
+        for a, f, act, recipe in zero_core_draws:
+            assert recipe.a_core in ("zero1", "zero2", "zero3")
+            dup = duplicate(a, f, act)
+            layout = BlockLayout(a.dim, f.dim)
+            for n in (0, 2):
+                direct = derivation_space(dup, nth_dual_bimodule(dup, n)).dim
+                staged = derivation_quadruple_space(a, f, act, n)
+                _, _, joint = joint_reference(derivation_identities(a, f, act, n),
+                                              layout)
+                assert staged.dim == direct == joint.dim, (recipe, n)
+                assert subspace_equal(staged, joint, 1e-8), (recipe, n)
+
+    def test_staged_equals_joint_reference(
+            self, zero_pair, lau_unital, module_extension, triangular):
+        # same subspace as one SVD of the joint system, and every staged
+        # basis vector solves the whole joint system
+        rng = np.random.default_rng(5)
+        triples = [zero_pair, lau_unital, module_extension, triangular]
+        triples += [random_triple(rng)[:3] for _ in range(40)]
+        tol = DEFAULT_TOL
+        for a, f, act in triples:
+            layout = BlockLayout(a.dim, f.dim)
+            for name, identities in identity_tables(a, f, act).items():
+                staged = block_nullspace(identities, layout, tol)
+                system, scale, joint = joint_reference(identities, layout, tol)
+                assert staged.dim == joint.dim, name
+                assert subspace_equal(staged, joint, 1e-8), name
+                assert np.allclose(staged.basis.conj().T @ staged.basis,
+                                   np.eye(staged.dim), atol=1e-12), name
+                if staged.dim:
+                    worst = np.max(np.abs(system @ staged.basis))
+                    assert worst <= 10 * tol * scale, name
+
+    def test_public_spaces_are_the_staged_solve(self, triangular):
+        a, f, act = triangular
+        layout = BlockLayout(a.dim, f.dim)
+        tables = identity_tables(a, f, act)
+        spaces = [derivation_quadruple_space(a, f, act, n) for n in range(4)]
+        spaces += [cyclic_quadruple_space(a, f, act), quadruple_space(a, f, act)]
+        for space, identities in zip(spaces, tables.values()):
+            expected = block_nullspace(identities, layout)
+            assert np.array_equal(space.basis, expected.basis)
+
+    def test_slot_rows_are_block_system_columns(
+            self, zero_pair, lau_unital, module_extension, triangular):
+        for a, f, act in (zero_pair, lau_unital, module_extension, triangular):
+            layout = BlockLayout(a.dim, f.dim)
+            offs = layout.offsets
+            for identities in identity_tables(a, f, act).values():
+                for slot in range(4):
+                    touching = [i for i in identities
+                                if slot in i.coefficients(layout)]
+                    if not touching:
+                        continue
+                    full = block_system(touching, layout)
+                    rows = slot_system(touching, layout, slot)
+                    assert same_bits(rows, full[:, offs[slot]:offs[slot + 1]])
+
+
+def ladder_core(n):
+    """C[x]/(x^k) for even k = n/2, C^k (pointwise) for odd k."""
+    k = n // 2
+    mult = np.zeros((k, k, k), dtype=complex)
+    for i in range(k):
+        if k % 2:
+            mult[i, i, i] = 1.0
+        else:
+            for j in range(k - i):
+                mult[i, j, i + j] = 1.0
+    return mult
+
+
+class TestLadder:
+    # self-duplications under the natural action: Z1 = N - 2 when
+    # k = N/2 is even (truncated polynomials), 0 when k is odd
+    # (pointwise), and LM = N, on both routes
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_closed_forms_on_both_routes(self, n):
+        k = n // 2
+        s = random_unitary(np.random.default_rng(n), k)
+        mult = np.einsum("ai,bj,abk,mk->ijm", s, s, ladder_core(n), s.conj().T)
+        alg = FinDimAlgebra.from_mult(mult)
+        act = natural_action(alg)
+        dup = duplicate(alg, alg, act)
+        z1 = n - 2 if k % 2 == 0 else 0
+        for level in (0, 1):
+            bim = nth_dual_bimodule(dup, level)
+            assert derivation_space(dup, bim).dim == z1
+            assert derivation_quadruple_space(alg, alg, act, level).dim == z1
+        assert left_multiplier_space(dup).dim == n
+        assert quadruple_space(alg, alg, act).dim == n
 
 
 def kron_derivation_constraints(mult, bim):

@@ -4,7 +4,7 @@ import pytest
 from amaldup.algebra import (BimoduleAction, FinDimAlgebra, duplicate,
                              natural_action, span_products)
 from amaldup.errors import CommutativityRequired, NotACharacter
-from amaldup.sampling import (Core, _commutative_cores, _noncommutative_cores,
+from amaldup.sampling import (COMMUTATIVE_CORES, NONCOMMUTATIVE_CORES, Core,
                               _transform_core, random_unitary)
 from amaldup.spectrum import (characters, characters_match,
                               duplication_spectrum, gelfand_semisimple,
@@ -59,7 +59,7 @@ def change_basis(core, s):
     return mult, [s.T @ chi for chi in core.characters]
 
 
-CORES = _commutative_cores() + _noncommutative_cores()
+CORES = COMMUTATIVE_CORES + NONCOMMUTATIVE_CORES
 
 
 class TestCharacters:
