@@ -17,13 +17,25 @@ import time
 from amaldup import audit
 
 
+def write_witness(out: pathlib.Path, stem: str, witness: dict) -> None:
+    """Write each part of a failing row's witness (a bundle, or an algebra
+    and a subspace) to ``<stem>-<part>.json``; the note is printed only."""
+    out.mkdir(parents=True, exist_ok=True)
+    for part, obj in witness.items():
+        if part == "note":
+            continue
+        path = out / f"{stem}-{part}.json"
+        path.write_text(json.dumps(obj, indent=2))
+        print(f"        witness written to {path}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--witness-dir", default=None,
-                        help="write failing instances as bundle JSON here")
+                        help="write the JSON parts of failing witnesses here")
     args = parser.parse_args()
 
     any_fail = False
@@ -38,12 +50,9 @@ def main() -> int:
             if not row.passed:
                 any_fail = True
                 print(f"        {row.witness['note']}")
-                if args.witness_dir and row.witness.get("bundle"):
-                    out = pathlib.Path(args.witness_dir)
-                    out.mkdir(parents=True, exist_ok=True)
-                    path = out / f"{row.id}-seed{seed}.json"
-                    path.write_text(json.dumps(row.witness["bundle"], indent=2))
-                    print(f"        witness written to {path}")
+                if args.witness_dir:
+                    write_witness(pathlib.Path(args.witness_dir),
+                                  f"{row.id}-seed{seed}", row.witness)
         print(f"  ({time.time() - start:.1f}s)")
     return 1 if any_fail else 0
 

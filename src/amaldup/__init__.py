@@ -19,8 +19,7 @@ from .algebra import (BimoduleAction, FinDimAlgebra, canonical_construction,
                       validate_action, validate_algebra)
 from .bundles import (AlgebraBundle, bundle_from_triple, parse_bundle,
                       serialize_bundle)
-from .derivations import (CohomologyReport, DerivationQuadruple,
-                          amenability_predicates, cohomology,
+from .derivations import (CohomologyReport, DerivationQuadruple, cohomology,
                           cyclic_amenability, decompose_derivation,
                           derivation_quadruple_space, derivation_space,
                           inner_space, is_inner_match,

@@ -28,7 +28,7 @@ from .errors import InternalInconsistency, SpectrumTheoremViolation
 from .ideals import (block_subspace, ideal_generated, is_ideal,
                      is_maximal_left_ideal, maximality_direction_oracle,
                      product_ideal_test, project_components)
-from .linalg import DEFAULT_TOL, Subspace, subspace_equal
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, Subspace, subspace_equal
 from .multipliers import (decompose_multiplier, left_multiplier_space,
                           quadruple_space)
 from .sampling import (COMMUTATIVE_CORES, NONCOMMUTATIVE_CORES,
@@ -65,8 +65,8 @@ def _witness(a, f, act, recipe, note, shrink_with=None):
 
 
 def audit_associativity(trials: int = 200, seed: int = 0,
-                        tol: float = 1e-10) -> AuditRow:
-    """Duplications of validated triples stay associative (bound 1e-10)."""
+                        tol: float = IDENTITY_TOL) -> AuditRow:
+    """Duplications of validated triples stay associative."""
     rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
 
@@ -105,7 +105,8 @@ def audit_spectrum(trials: int = 100, seed: int = 0, tol: float = DEFAULT_TOL,
             _row("semisimplicity-transfer", trials, ss_failures)]
 
 
-def audit_arens(trials: int = 50, seed: int = 0, tol: float = 1e-10) -> AuditRow:
+def audit_arens(trials: int = 50, seed: int = 0,
+                tol: float = IDENTITY_TOL) -> AuditRow:
     """Both extended products collapse; second duals assemble blockwise."""
     rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
@@ -114,7 +115,7 @@ def audit_arens(trials: int = 50, seed: int = 0, tol: float = 1e-10) -> AuditRow
         dup = duplicate(a, f, act)
         defect = 0.0
         for alg in (a, f, dup):
-            st = arens_products(alg)  # raises ArensDefect beyond 1e-10
+            st = arens_products(alg)  # raises ArensDefect beyond IDENTITY_TOL
             defect = max(defect,
                          float(np.max(np.abs(st.first - alg.mult))),
                          float(np.max(np.abs(st.second - alg.mult))))
@@ -163,7 +164,7 @@ def audit_multipliers(trials: int = 100, seed: int = 0,
             q = decompose_multiplier(a, f, act, t_op, tol)
             gap = float(np.max(np.abs(q.assemble() - t_op)))
             worst = max(worst, gap)
-            if gap > 1e-10:
+            if gap > IDENTITY_TOL:
                 round_failures.append(_witness(a, f, act, recipe, "roundtrip"))
     return [_row("multiplier-dimension", trials, dim_failures),
             _row("multiplier-roundtrip", trials, round_failures, worst)]
@@ -503,7 +504,7 @@ def run_full_audit(trials: int = 40, seed: int = 0,
                    tol: float = DEFAULT_TOL) -> list[AuditRow]:
     rows = [audit_associativity(trials, seed)]
     rows += audit_spectrum(trials, seed, tol)
-    rows.append(audit_arens(max(10, trials // 2), seed, 1e-10))
+    rows.append(audit_arens(max(10, trials // 2), seed))
     rows.append(audit_centres(max(10, trials // 2), seed, tol))
     rows += audit_multipliers(trials, seed, tol)
     rows += audit_derivations(max(10, trials // 2), seed, tol)

@@ -24,12 +24,10 @@ from .duals import (arens_products, essentiality, nth_dual_bimodule,
                     second_dual_duplication_defect, topological_centres)
 from .errors import DuplicateEntry, ParseError
 from .ideals import is_ideal, product_ideal_test, project_components
-from .linalg import Subspace
+from .linalg import IDENTITY_TOL, Subspace
 from .multipliers import (corollary_form_check, left_multiplier_space,
                           quadruple_space)
 from .spectrum import duplication_spectrum
-
-ARENS_TOL = 1e-10
 
 
 def main(argv=None) -> int:
@@ -256,9 +254,9 @@ def cmd_arens(args):
         defect = max(float(np.max(np.abs(st.first - alg.mult))),
                      float(np.max(np.abs(st.second - alg.mult))))
         rows.append(_row(f"extended-products-collapse-{tag}",
-                         _thresh(defect, ARENS_TOL), defect))
+                         _thresh(defect, IDENTITY_TOL), defect))
     iso = second_dual_duplication_defect(a, f, act)
-    rows.append(_row("second-dual-duplication", _thresh(iso, ARENS_TOL), iso))
+    rows.append(_row("second-dual-duplication", _thresh(iso, IDENTITY_TOL), iso))
     return rows
 
 

@@ -4,7 +4,9 @@ A derivation ``D`` from an algebra into a bimodule X is stored as a
 matrix ``(dim X, dim alg)`` with columns ``D(e_i)``; its vectorization is
 row-major.  Z1, the inner space B1, and the cyclic subspace at level one
 are single nullspace or span computations on the Leibniz system: this
-is the direct route.
+is the direct route.  Its Leibniz identity is written once, as the rows
+of :func:`derivation_constraints`; :func:`derivation_defect` is their
+residual.
 
 The block route splits a derivation of a duplication into the level-n
 dual into D1A|D1F|D2A|D2F and states the paper's identities once, in
@@ -12,6 +14,11 @@ dual into D1A|D1F|D2A|D2F and states the paper's identities once, in
 grammar of :class:`~amaldup.duals.BlockIdentity`).  That one table gives
 the residual checks, the quadruple spaces whose dimensions must equal
 the direct ones, and the extension systems of :func:`property_h`.
+
+Inner derivations ad(x, phi) have their own table, :func:`_ad_table`:
+per slot, the witness parts read and the families ``Op_L - Op_R``; the
+D2A entry is empty at even n.  :func:`is_inner_match` solves it against
+a quadruple, and :func:`corollary_dt_check` is that solve on (0, 0, T, 0).
 
 Weak amenability at level n means H1 into the n-th dual vanishes;
 cyclic amenability means every cyclic derivation into the first dual is
@@ -25,12 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BimoduleAction, FinDimAlgebra, duplicate, span_products
+from .algebra import BimoduleAction, FinDimAlgebra, duplicate
 from .duals import (D1A, D1F, D2A, D2F, L, R, BlockIdentity, BlockLayout,
-                    BlockQuadruple, DualBimodule, TransposedSum,
-                    block_nullspace, block_residuals, block_system,
-                    duplication_dual_blocks, duplication_nth_dual,
-                    essentiality, nth_dual_bimodule, slot_system)
+                    BlockQuadruple, DualActionBlocks, DualBimodule,
+                    TransposedSum, block_nullspace, block_residuals,
+                    block_system, duplication_dual_blocks,
+                    duplication_nth_dual, nth_dual_bimodule, slot_system)
 from .errors import DecompositionDefect, HypothesisNotMet, UnitRequired
 from .linalg import (DEFAULT_TOL, Subspace, rank_nullspace, solve_affine,
                      subspace_intersect)
@@ -64,14 +71,8 @@ def derivation_space(alg: FinDimAlgebra, bim: DualBimodule,
 
 def derivation_defect(mult: np.ndarray, bim: DualBimodule, d: np.ndarray) -> float:
     """Worst Leibniz residual of a candidate derivation matrix."""
-    n = mult.shape[0]
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            resid = d @ mult[i, j] - bim.right_ops[j] @ d[:, i] \
-                - bim.left_ops[i] @ d[:, j]
-            worst = max(worst, float(np.max(np.abs(resid))) if resid.size else 0.0)
-    return worst
+    resid = derivation_constraints(mult, bim) @ np.reshape(d, -1)
+    return float(np.max(np.abs(resid), initial=0.0))
 
 
 def inner_derivation(bim: DualBimodule, x: np.ndarray) -> np.ndarray:
@@ -88,14 +89,11 @@ def inner_space(alg: FinDimAlgebra, bim: DualBimodule,
 
 def _antisymmetry_rows(n: int) -> np.ndarray:
     """Rows expressing D[i, j] + D[j, i] = 0 over vec(D) for square D."""
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            r = np.zeros(n * n)
-            r[i * n + j] += 1.0
-            r[j * n + i] += 1.0
-            rows.append(r)
-    return np.vstack(rows)
+    i, j = np.triu_indices(n)
+    rows = np.zeros((i.size, n * n))
+    rows[np.arange(i.size), i * n + j] += 1.0
+    rows[np.arange(i.size), j * n + i] += 1.0
+    return rows
 
 
 def cyclic_derivation_space(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subspace:
@@ -152,7 +150,7 @@ class DerivationQuadruple(BlockQuadruple):
     """Blocks of a derivation of a duplication into its level-n dual.
 
     ``d1_a: A -> A^(n)``, ``d1_f: F -> A^(n)``, ``d2_a: A -> F^(n)``,
-    ``d2_f: F -> F^(n)``; ``parity`` records which identity set applies.
+    ``d2_f: F -> F^(n)``; the parity of ``level`` selects the identities.
     """
 
     d1_a: np.ndarray = field(repr=False)
@@ -160,10 +158,6 @@ class DerivationQuadruple(BlockQuadruple):
     d2_a: np.ndarray = field(repr=False)
     d2_f: np.ndarray = field(repr=False)
     level: int = 1
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.level % 2 == 0 else "odd"
 
     @staticmethod
     def split(a_dim: int, d: np.ndarray, level: int) -> "DerivationQuadruple":
@@ -269,48 +263,47 @@ def cyclic_quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra,
     return block_nullspace(identities, BlockLayout(a.dim, f.dim), tol)
 
 
+# Witness parts of an inner derivation: x in the dual of A, phi in that of F.
+X, PHI = 0, 1
+
+
+def _ad_table(b: DualActionBlocks) -> dict[int, list]:
+    """Slot -> [(witness part, Op_L - Op_R)]: column c of ad(w) is
+    ``(Op_L(c) - Op_R(c)) w``.  The mixing families carry x into F's dual
+    at odd levels and phi into A's at even ones, where D2A reads nothing."""
+    ad_a = (X, b.a_left - b.a_right)
+    ad_act = (X, b.act_left - b.act_right)
+    ad_f = (PHI, b.f_left - b.f_right)
+    mix = b.mix_left - b.mix_right
+    if b.level % 2 == 1:
+        return {D1A: [ad_a], D1F: [ad_act], D2A: [(X, mix)], D2F: [ad_f]}
+    return {D1A: [ad_a, (PHI, mix)], D1F: [ad_act], D2A: [], D2F: [ad_f]}
+
+
 def is_inner_match(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
                    q: DerivationQuadruple, tol: float = DEFAULT_TOL
                    ) -> tuple[np.ndarray, np.ndarray] | None:
     """Witness ``(x, phi)`` in the level-n dual with blockwise ad = q, or None.
 
-    The characterizing identities are linear in the witness pair; they are
-    solved jointly, and the residual certificate of the solver decides
-    innerness.
+    Each slot of the ad-table gives the rows ``ad(x, phi) e_c = q e_c``
+    (zero rows where it reads no part); they are solved jointly, and the
+    residual certificate of the solver decides innerness.
     """
-    blocks = duplication_dual_blocks(a, f, act, q.level)
-    da, df = a.dim, f.dim
-    rows: list[np.ndarray] = []
-    rhs: list[complex] = []
-
-    def eq(coeff_x: np.ndarray, coeff_phi: np.ndarray, value: np.ndarray):
-        for k in range(value.size):
-            rows.append(np.concatenate([coeff_x[k], coeff_phi[k]]))
-            rhs.append(value[k])
-
-    zero_xf = np.zeros((df, da))
-    zero_pa = np.zeros((da, df))
-    zero_pf = np.zeros((df, df))
-    if q.parity == "odd":
-        for i in range(da):
-            eq(blocks.a_left[i] - blocks.a_right[i], zero_pa, q.d1_a[:, i])
-            eq(blocks.mix_left[i] - blocks.mix_right[i], zero_pf, q.d2_a[:, i])
-        for p in range(df):
-            eq(blocks.act_left[p] - blocks.act_right[p], zero_pa, q.d1_f[:, p])
-            eq(zero_xf, blocks.f_left[p] - blocks.f_right[p], q.d2_f[:, p])
-    else:
-        if q.d2_a.size and float(np.max(np.abs(q.d2_a))) > 10 * tol:
-            return None
-        for i in range(da):
-            eq(blocks.a_left[i] - blocks.a_right[i],
-               blocks.mix_left[i] - blocks.mix_right[i], q.d1_a[:, i])
-        for p in range(df):
-            eq(blocks.act_left[p] - blocks.act_right[p], zero_pa, q.d1_f[:, p])
-            eq(zero_xf, blocks.f_left[p] - blocks.f_right[p], q.d2_f[:, p])
-    solution = solve_affine(np.vstack(rows), np.array(rhs), tol)
+    table = _ad_table(duplication_dual_blocks(a, f, act, q.level))
+    offs = (0, a.dim, a.dim + f.dim)
+    rows, rhs = [], []
+    for slot, terms in table.items():
+        target = q.blocks[slot]
+        block = np.zeros((target.size, offs[-1]), dtype=complex)
+        for part, ops in terms:
+            width = offs[part + 1] - offs[part]
+            block[:, offs[part]:offs[part + 1]] = ops.reshape(target.size, width)
+        rows.append(block)
+        rhs.append(target.T.reshape(-1))
+    solution = solve_affine(np.vstack(rows), np.concatenate(rhs), tol)
     if solution is None:
         return None
-    return solution[:da], solution[da:]
+    return solution[:a.dim], solution[a.dim:]
 
 
 @dataclass(frozen=True)
@@ -328,40 +321,31 @@ def corollary_dt_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     ``t_block`` maps A into the level-n dual of F (n odd); it must be a
     left module map vanishing on the span of products, else
     :class:`HypothesisNotMet`.  Innerness needs a witness in A's dual
-    that is annihilated by both ad-actions and realizes T.
+    that is annihilated by both ad-actions and realizes T: the x part of
+    :func:`is_inner_match` on the quadruple ``(0, 0, T, 0)``.
     """
     if n % 2 == 0:
         raise ValueError("this construction lives at odd dual levels")
     t_block = np.asarray(t_block, dtype=complex)
-    blocks = duplication_dual_blocks(a, f, act, n)
+    f_left = duplication_dual_blocks(a, f, act, n).f_left
     da, df = a.dim, f.dim
     mod_defect = float(np.max(np.abs(
         np.einsum("pim,km->pik", act.left, t_block)
-        - np.einsum("pkm,mi->pik", blocks.f_left, t_block)))) if df else 0.0
+        - np.einsum("pkm,mi->pik", f_left, t_block)))) if df else 0.0
     prod_defect = float(np.max(np.abs(
         np.einsum("ijm,km->ijk", a.mult, t_block)))) if da else 0.0
     if max(mod_defect, prod_defect) > tol:
         raise HypothesisNotMet(
             f"map is not a module map vanishing on products "
             f"(defects {mod_defect:.3g}, {prod_defect:.3g})")
-    d = DerivationQuadruple(np.zeros((da, da)), np.zeros((da, df)),
-                            t_block, np.zeros((df, df)), n).assemble()
+    q = DerivationQuadruple(np.zeros((da, da)), np.zeros((da, df)),
+                            t_block, np.zeros((df, df)), n)
     dup = duplicate(a, f, act, validate=False)
-    bim = duplication_nth_dual(a, f, act, n)
-    defect = derivation_defect(dup.mult, bim, d)
-
-    rows: list[np.ndarray] = []
-    rhs: list[complex] = []
-    for i in range(da):
-        rows.extend(blocks.a_left[i] - blocks.a_right[i])
-        rhs.extend(np.zeros(da))
-        rows.extend(blocks.mix_left[i] - blocks.mix_right[i])
-        rhs.extend(t_block[:, i])
-    for p in range(df):
-        rows.extend(blocks.act_left[p] - blocks.act_right[p])
-        rhs.extend(np.zeros(da))
-    witness = solve_affine(np.vstack(rows), np.array(rhs), tol)
-    return AugmentedDerivationReport(defect <= 10 * tol, defect, witness)
+    defect = derivation_defect(dup.mult, duplication_nth_dual(a, f, act, n),
+                               q.assemble())
+    witness = is_inner_match(a, f, act, q, tol)
+    return AugmentedDerivationReport(defect <= 10 * tol, defect,
+                                     None if witness is None else witness[0])
 
 
 def module_derivation_space(a: FinDimAlgebra, f: FinDimAlgebra,
@@ -459,50 +443,6 @@ def cyclic_amenability(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> bool:
     """Every cyclic derivation into the dual is inner."""
     b1 = inner_space(alg, nth_dual_bimodule(alg, 1), tol)
     return _h1_dim(b1, cyclic_derivation_space(alg, tol), tol) == 0
-
-
-@dataclass(frozen=True)
-class AmenabilityRow:
-    level: int
-    a_weakly_amenable: bool
-    f_weakly_amenable: bool
-    dup_weakly_amenable: bool
-
-
-@dataclass(frozen=True)
-class AmenabilityTable:
-    rows: tuple
-    a_cyclically_amenable: bool
-    f_cyclically_amenable: bool
-    dup_cyclically_amenable: bool
-    a_squares_full: bool
-    a_essential_even_levels: dict
-    property_h_odd_levels: dict
-
-
-def amenability_predicates(a: FinDimAlgebra, f: FinDimAlgebra,
-                           act: BimoduleAction, n_max: int = 2,
-                           tol: float = DEFAULT_TOL) -> AmenabilityTable:
-    """Weak amenability per level for both factors and the duplication,
-    cyclic amenability for all three, and the audit hypotheses."""
-    dup = duplicate(a, f, act, validate=False)
-    rows = tuple(
-        AmenabilityRow(n, weak_amenability(a, n, tol), weak_amenability(f, n, tol),
-                       weak_amenability(dup, n, tol))
-        for n in range(n_max + 1))
-    return AmenabilityTable(
-        rows=rows,
-        a_cyclically_amenable=cyclic_amenability(a, tol),
-        f_cyclically_amenable=cyclic_amenability(f, tol),
-        dup_cyclically_amenable=cyclic_amenability(dup, tol),
-        a_squares_full=span_products(a, "squares", tol=tol).dim == a.dim,
-        a_essential_even_levels={
-            2 * k: essentiality(a, f, act, 2 * k, "algebra_left", tol)
-            or essentiality(a, f, act, 2 * k, "algebra_right", tol)
-            for k in range((n_max + 1) // 2 + 1)},
-        property_h_odd_levels={
-            2 * k + 1: property_h(a, f, act, k, tol)
-            for k in range((n_max + 1) // 2 + 1)})
 
 
 def cyclic_quadruple_defects(a: FinDimAlgebra, f: FinDimAlgebra,

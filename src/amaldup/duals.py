@@ -34,10 +34,8 @@ import numpy as np
 
 from .algebra import BimoduleAction, FinDimAlgebra, duplicate
 from .errors import ArensDefect, InternalInconsistency
-from .linalg import (DEFAULT_TOL, Subspace, as_cvector, rank_nullspace,
-                     subspace_equal, subspace_intersect)
-
-_CONSISTENCY_TOL = 1e-10
+from .linalg import (DEFAULT_TOL, IDENTITY_TOL, Subspace, as_cvector,
+                     rank_nullspace, subspace_equal, subspace_intersect)
 
 
 def first_adjoint(tensor: np.ndarray) -> np.ndarray:
@@ -93,7 +91,7 @@ class ArensStructure:
     blacktriangle: BimoduleAction | None = None
 
 
-def arens_products(alg: FinDimAlgebra, tol: float = _CONSISTENCY_TOL) -> ArensStructure:
+def arens_products(alg: FinDimAlgebra, tol: float = IDENTITY_TOL) -> ArensStructure:
     """Both three-step extended products on the second dual.
 
     Each is evaluated literally by iterating its adjoint three times, and
@@ -114,7 +112,7 @@ def arens_products(alg: FinDimAlgebra, tol: float = _CONSISTENCY_TOL) -> ArensSt
 
 def arens_action_extensions(a: FinDimAlgebra, f: FinDimAlgebra,
                             act: BimoduleAction,
-                            tol: float = _CONSISTENCY_TOL) -> ArensStructure:
+                            tol: float = IDENTITY_TOL) -> ArensStructure:
     """Extended products together with both extended actions on second duals.
 
     The first-convention extension of the right action sends
@@ -234,7 +232,7 @@ def assemble_duplication_dual(blocks: DualActionBlocks) -> DualBimodule:
 
 
 def duplication_nth_dual(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                         n: int, tol: float = _CONSISTENCY_TOL) -> DualBimodule:
+                         n: int, tol: float = IDENTITY_TOL) -> DualBimodule:
     """Level-n dual bimodule of the duplication, built blockwise.
 
     Cross-checked against the generic transpose recursion applied to the

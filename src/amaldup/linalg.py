@@ -21,6 +21,9 @@ import numpy as np
 from .errors import InvalidMatrix, ShapeError
 
 DEFAULT_TOL = 1e-9
+# Fixed round-off bound on identities that hold exactly (associativity,
+# collapsing extended products, dual towers, multiplier round trips).
+IDENTITY_TOL = 1e-10
 
 
 def as_cmatrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:

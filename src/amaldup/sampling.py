@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import (BimoduleAction, FinDimAlgebra, homomorphism_action,
-                      validate_action, validate_algebra)
+from .algebra import (BimoduleAction, FinDimAlgebra, direct_sum,
+                      homomorphism_action, validate_action, validate_algebra)
 from .linalg import DEFAULT_TOL, Subspace
 
 
@@ -130,16 +130,17 @@ def _one_sided_unit2():
 
 
 def _direct_sum(c1: Core, c2: Core) -> Core:
-    n, m = c1.dim, c2.dim
-    c = np.zeros((n + m,) * 3, dtype=complex)
-    c[:n, :n, :n] = c1.mult
-    c[n:, n:, n:] = c2.mult
-    chars = tuple(np.concatenate([x, np.zeros(m)]) for x in c1.characters) \
-        + tuple(np.concatenate([np.zeros(n), x]) for x in c2.characters)
-    idems = tuple(np.concatenate([x, np.zeros(m)]) for x in c1.idempotents) \
-        + tuple(np.concatenate([np.zeros(n), x]) for x in c2.idempotents)
-    return Core(f"{c1.name}+{c2.name}", c, chars, idems,
-                c1.commutative and c2.commutative)
+    """The direct sum, each summand's characters and idempotents padded."""
+    alg = direct_sum(*(FinDimAlgebra.from_mult(c.mult, detect_unit=False)
+                       for c in (c1, c2)))
+    widths = ((0, c2.dim), (c1.dim, 0))
+
+    def padded(attr):
+        return tuple(np.pad(x, w) for c, w in zip((c1, c2), widths)
+                     for x in getattr(c, attr))
+
+    return Core(f"{c1.name}+{c2.name}", alg.mult, padded("characters"),
+                padded("idempotents"), c1.commutative and c2.commutative)
 
 
 def _frozen(core: Core) -> Core:

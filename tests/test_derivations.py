@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from amaldup.algebra import FinDimAlgebra, duplicate, natural_action
-from amaldup.derivations import (CYCLIC_IDENTITIES, amenability_predicates,
+from amaldup.algebra import (FinDimAlgebra, duplicate, natural_action,
+                             span_products)
+from amaldup.derivations import (CYCLIC_IDENTITIES, _antisymmetry_rows,
                                  cohomology, corollary_dt_check,
                                  cyclic_amenability, cyclic_derivation_space,
                                  cyclic_quadruple_defects,
@@ -16,11 +17,12 @@ from amaldup.derivations import (CYCLIC_IDENTITIES, amenability_predicates,
                                  module_derivation_space, property_h,
                                  unital_form_check, weak_amenability)
 from amaldup.duals import (BlockLayout, block_nullspace, block_residuals,
-                           block_system, duplication_nth_dual,
-                           nth_dual_bimodule, slot_system)
+                           block_system, duplication_dual_blocks,
+                           duplication_nth_dual, nth_dual_bimodule,
+                           slot_system)
 from amaldup.errors import HypothesisNotMet, UnitRequired
-from amaldup.linalg import (DEFAULT_TOL, rank_nullspace, subspace_equal,
-                            subspace_intersect)
+from amaldup.linalg import (DEFAULT_TOL, rank_nullspace, solve_affine,
+                            subspace_equal, subspace_intersect)
 from amaldup.multipliers import (commutant_constraints, left_multiplier_space,
                                  multiplier_identities, quadruple_space)
 from amaldup.sampling import random_triple, random_unitary
@@ -100,24 +102,39 @@ class TestCohomology:
             assert subspace_intersect(b1, z1).dim == b1.dim
 
 
+@pytest.fixture
+def witness_triples(zero_pair, lau_unital, module_extension, triangular):
+    """The four fixtures and 20 draws of random_triple at seed 24."""
+    rng = np.random.default_rng(24)
+    return ([zero_pair, lau_unital, module_extension, triangular]
+            + [random_triple(rng)[:3] for _ in range(20)])
+
+
+def inner_roundtrip(triple, level, rng):
+    """A random inner derivation's quadruple, matched and rebuilt."""
+    a, f, act = triple
+    bim = duplication_nth_dual(a, f, act, level)
+    dim = a.dim + f.dim
+    w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    d = inner_derivation(bim, w)
+    witness = is_inner_match(a, f, act, decompose_derivation(a, f, act, d, level))
+    assert witness is not None, level
+    x, phi = witness
+    recovered = inner_derivation(bim, np.concatenate([x, phi]))
+    assert np.max(np.abs(recovered - d)) < 1e-9
+
+
 class TestDecomposition:
     def test_zero_derivation(self, lau_unital):
         a, f, act = lau_unital
         q = decompose_derivation(a, f, act, np.zeros((2, 2)), 1)
         assert np.all(q.assemble() == 0)
 
-    def test_inner_blocks_odd(self, lau_unital):
-        a, f, act = lau_unital
-        bim = duplication_nth_dual(a, f, act, 1)
+    def test_inner_blocks_odd(self, witness_triples):
         rng = np.random.default_rng(21)
-        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        d = inner_derivation(bim, w)
-        q = decompose_derivation(a, f, act, d, 1)
-        witness = is_inner_match(a, f, act, q)
-        assert witness is not None
-        x, phi = witness
-        recovered = inner_derivation(bim, np.concatenate([x, phi]))
-        assert np.max(np.abs(recovered - d)) < 1e-9
+        for triple in witness_triples:
+            for level in (1, 3):
+                inner_roundtrip(triple, level, rng)
 
     def test_zero_pair_unconstrained(self, zero_pair):
         a, f, act = zero_pair
@@ -153,18 +170,35 @@ class TestDecomposition:
                 q = DerivationQuadruple(*layout.blocks(space.basis[:, col]), n)
                 assert derivation_defect(dup.mult, bim, q.assemble()) < 1e-8
 
-    def test_even_inner_roundtrip(self, triangular):
-        a, f, act = triangular
-        bim = duplication_nth_dual(a, f, act, 2)
+    def test_even_inner_roundtrip(self, witness_triples):
         rng = np.random.default_rng(23)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        d = inner_derivation(bim, w)
-        q = decompose_derivation(a, f, act, d, 2)
-        witness = is_inner_match(a, f, act, q)
-        assert witness is not None
-        x, phi = witness
-        recovered = inner_derivation(bim, np.concatenate([x, phi]))
-        assert np.max(np.abs(recovered - d)) < 1e-9
+        for triple in witness_triples:
+            for level in (0, 2):
+                inner_roundtrip(triple, level, rng)
+
+    def test_even_d2a_perturbation_not_inner(self, witness_triples):
+        # at even levels ad has no D2A block, so an inner quadruple with
+        # D2A moved off zero has no witness
+        rng = np.random.default_rng(25)
+        for a, f, act in witness_triples:
+            for level in (0, 2):
+                bim = duplication_nth_dual(a, f, act, level)
+                w = rng.standard_normal(a.dim + f.dim)
+                q = DerivationQuadruple.split(a.dim, inner_derivation(bim, w), level)
+                assert np.max(np.abs(q.d2_a)) < 1e-12
+                d2_a = 1e-3 * rng.standard_normal(q.d2_a.shape)
+                moved = DerivationQuadruple(q.d1_a, q.d1_f, d2_a, q.d2_f, level)
+                assert is_inner_match(a, f, act, moved) is None, level
+
+    def test_random_quadruple_not_inner(self, witness_triples):
+        # ad spans at most dim X of the (dim X)^2 quadruple coordinates
+        rng = np.random.default_rng(26)
+        for a, f, act in witness_triples:
+            dim = a.dim + f.dim
+            for level in range(4):
+                d = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                q = DerivationQuadruple.split(a.dim, d, level)
+                assert is_inner_match(a, f, act, q) is None, level
 
 
 class TestCyclic:
@@ -373,6 +407,30 @@ def same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def loop_derivation_defect(mult, bim, d):
+    """Reference: the Leibniz residual one basis pair at a time."""
+    n = mult.shape[0]
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            resid = d @ mult[i, j] - bim.right_ops[j] @ d[:, i] \
+                - bim.left_ops[i] @ d[:, j]
+            worst = max(worst, float(np.max(np.abs(resid))) if resid.size else 0.0)
+    return worst
+
+
+def loop_antisymmetry_rows(n):
+    """Reference: the rows of D[i, j] + D[j, i] = 0, one pair at a time."""
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            r = np.zeros(n * n)
+            r[i * n + j] += 1.0
+            r[j * n + i] += 1.0
+            rows.append(r)
+    return np.vstack(rows)
+
+
 class TestDirectSystems:
     def test_builders_match_kron_reference(
             self, zero_pair, lau_unital, module_extension, triangular):
@@ -393,8 +451,70 @@ class TestDirectSystems:
                     assert same_bits(commutant_constraints(ops),
                                      kron_commutant_constraints(ops))
 
+    def test_defect_is_the_constraint_residual(
+            self, zero_pair, lau_unital, module_extension, triangular):
+        # the residual of derivation_constraints agrees with the per-pair
+        # loop on random matrices and on derivations
+        rng = np.random.default_rng(8)
+        triples = [zero_pair, lau_unital, module_extension, triangular]
+        triples += [random_triple(rng)[:3] for _ in range(6)]
+        for a, f, act in triples:
+            dup = duplicate(a, f, act, validate=False)
+            for n in range(4):
+                bim = nth_dual_bimodule(dup, n)
+                z1 = derivation_space(dup, bim)
+                candidates = [rng.standard_normal((dup.dim, dup.dim))]
+                candidates += [z1.basis[:, col].reshape(dup.dim, dup.dim)
+                               for col in range(z1.dim)]
+                for d in candidates:
+                    assert derivation_defect(dup.mult, bim, d) == pytest.approx(
+                        loop_derivation_defect(dup.mult, bim, d),
+                        rel=1e-12, abs=1e-14)
+
+    def test_antisymmetry_rows_match_loop(self):
+        for n in range(1, 9):
+            assert same_bits(_antisymmetry_rows(n), loop_antisymmetry_rows(n))
+
+
+def x_only_witness(a, f, act, t_block, n, tol=DEFAULT_TOL):
+    """Reference: least-norm x with ad_A x = 0, ad_F x = 0 and mix x = T."""
+    b = duplication_dual_blocks(a, f, act, n)
+    rows = np.vstack([np.concatenate(b.a_left - b.a_right),
+                      np.concatenate(b.mix_left - b.mix_right),
+                      np.concatenate(b.act_left - b.act_right)])
+    rhs = np.concatenate([np.zeros(a.dim * a.dim), t_block.T.reshape(-1),
+                          np.zeros(f.dim * a.dim)])
+    return solve_affine(rows, rhs, tol)
+
 
 class TestCorollaryDT:
+    def test_witness_is_x_only_least_norm(self, witness_triples):
+        # T = mix(x) for x killed by both ad-actions is inner; the witness
+        # is the x-only least-norm solve, and T = 0 gives witness 0
+        rng = np.random.default_rng(27)
+        inner_seen = 0
+        for a, f, act in witness_triples:
+            for n in (1, 3):
+                b = duplication_dual_blocks(a, f, act, n)
+                _, kernel = rank_nullspace(np.vstack([
+                    np.concatenate(b.a_left - b.a_right),
+                    np.concatenate(b.act_left - b.act_right)]))
+                blocks = [np.zeros((f.dim, a.dim))]
+                if kernel.dim:
+                    x = kernel.basis @ rng.standard_normal(kernel.dim)
+                    blocks.append(np.einsum("ikm,m->ki",
+                                            b.mix_left - b.mix_right, x))
+                for t_block in blocks:
+                    report = corollary_dt_check(a, f, act, t_block, n)
+                    expected = x_only_witness(a, f, act, t_block, n)
+                    assert report.is_derivation
+                    assert expected is not None
+                    assert report.inner_witness is not None
+                    assert np.allclose(report.inner_witness, expected,
+                                       rtol=1e-9, atol=1e-10)
+                    inner_seen += bool(np.any(t_block))
+        assert inner_seen > 0
+
     def test_zero_map_inner_with_zero_witness(self, lau_unital):
         a, f, act = lau_unital
         report = corollary_dt_check(a, f, act, np.zeros((1, 1)), 1)
@@ -475,13 +595,6 @@ class TestPropertyH:
 
 
 class TestAmenability:
-    def test_zero_pair_table(self, zero_pair):
-        table = amenability_predicates(*zero_pair, n_max=1)
-        assert table.a_cyclically_amenable
-        assert table.f_cyclically_amenable
-        assert not table.dup_cyclically_amenable
-        assert not table.a_squares_full
-
     def test_lau_all_one_weakly_amenable(self, lau_unital):
         a, f, act = lau_unital
         dup = duplicate(a, f, act)
@@ -499,3 +612,4 @@ class TestAmenability:
         a, f, act = zero_pair
         assert cyclic_amenability(a) and cyclic_amenability(f)
         assert not cyclic_amenability(duplicate(a, f, act))
+        assert span_products(a, "squares").dim < a.dim  # zero product

@@ -230,3 +230,41 @@ class TestShrinker:
         sa, sf, sact, _ = shrink_triple(a, f, act, recipe, predicate)
         assert predicate(sa, sf, sact)
         assert sa.dim == a.dim
+
+
+class TestRunAuditScript:
+    def test_witness_dir_writes_every_part(self, tmp_path, monkeypatch, capsys):
+        # a failing maximality row carries an algebra and a subspace, not a
+        # bundle; both are written, and the subspace reads back in the CLI
+        import importlib.util
+        from amaldup import audit
+        from amaldup.bundles import algebra_to_obj, parse_algebra
+        from amaldup.cli import _load_subspace
+        from amaldup.linalg import Subspace, subspace_equal
+        from conftest import pointwise_algebra
+
+        alg = pointwise_algebra(3)
+        cand = Subspace.from_spanning([np.array([1.0, 1j, 0.0])], 3)
+        vectors = np.stack([cand.basis.T.real, cand.basis.T.imag], -1)
+        row = audit.AuditRow("maximality-burnside-vs-oracle", "fail", 1, 0.0, {
+            "note": "pool 0 ideal dim 1: burnside True oracle False",
+            "algebra": algebra_to_obj(alg),
+            "subspace": {"vectors": vectors.tolist()}})
+        monkeypatch.setattr(audit, "run_full_audit", lambda *args: [row])
+        script = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "scripts", "run_audit.py")
+        spec = importlib.util.spec_from_file_location("run_audit", script)
+        run_audit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_audit)
+        monkeypatch.setattr("sys.argv", ["run_audit.py", "--trials", "1",
+                                         "--witness-dir", str(tmp_path)])
+        assert run_audit.main() == 1
+        stem = tmp_path / "maximality-burnside-vs-oracle-seed0"
+        written = {p.name for p in tmp_path.iterdir()}
+        assert written == {f"{stem.name}-algebra.json", f"{stem.name}-subspace.json"}
+        back = parse_algebra(json.loads(stem.with_name(
+            f"{stem.name}-algebra.json").read_text()))
+        assert np.array_equal(back.mult, alg.mult)
+        loaded = _load_subspace(f"{stem}-subspace.json", 3, 1e-9)
+        assert subspace_equal(loaded, cand)
+        assert "witness written to" in capsys.readouterr().out
