@@ -595,6 +595,13 @@ class TestPropertyH:
 
 
 class TestAmenability:
+    def test_zero_pair_table(self, zero_pair):
+        a, f, act = zero_pair
+        assert cyclic_amenability(a)
+        assert cyclic_amenability(f)
+        assert not cyclic_amenability(duplicate(a, f, act))
+        assert span_products(a, "squares").dim < a.dim  # zero product
+
     def test_lau_all_one_weakly_amenable(self, lau_unital):
         a, f, act = lau_unital
         dup = duplicate(a, f, act)
@@ -612,4 +619,3 @@ class TestAmenability:
         a, f, act = zero_pair
         assert cyclic_amenability(a) and cyclic_amenability(f)
         assert not cyclic_amenability(duplicate(a, f, act))
-        assert span_products(a, "squares").dim < a.dim  # zero product
