@@ -24,7 +24,7 @@ from .duals import (arens_products, essentiality, nth_dual_bimodule,
                     second_dual_duplication_defect, topological_centres)
 from .errors import DuplicateEntry, ParseError
 from .ideals import is_ideal, product_ideal_test, project_components
-from .linalg import IDENTITY_TOL, Subspace
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, Subspace
 from .multipliers import (corollary_form_check, left_multiplier_space,
                           quadruple_space)
 from .spectrum import duplication_spectrum
@@ -58,8 +58,9 @@ def run_command(argv) -> tuple[int, str]:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="comparison tolerance (default 1e-9)")
+    shown_tol = np.format_float_scientific(DEFAULT_TOL, trim="-", exp_digits=1)
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help=f"comparison tolerance (default {shown_tol})")
     common.add_argument("--format", choices=("text", "json"), default="text")
 
     parser = argparse.ArgumentParser(

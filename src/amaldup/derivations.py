@@ -4,9 +4,11 @@ A derivation ``D`` from an algebra into a bimodule X is stored as a
 matrix ``(dim X, dim alg)`` with columns ``D(e_i)``; its vectorization is
 row-major.  Z1, the inner space B1, and the cyclic subspace at level one
 are single nullspace or span computations on the Leibniz system: this
-is the direct route.  Its Leibniz identity is written once, as the rows
-of :func:`derivation_constraints`; :func:`derivation_defect` is their
-residual.
+is the direct route.  Its Leibniz identity is written once, as the row
+blocks of :func:`_leibniz_blocks` (one basis element e_i at a time),
+which the nullspace solves fold into one R factor without stacking;
+:func:`derivation_constraints` stacks them, and :func:`derivation_defect`
+is their residual.
 
 The block route splits a derivation of a duplication into the level-n
 dual into D1A|D1F|D2A|D2F and states the paper's identities once, in
@@ -28,6 +30,7 @@ as denominator, since inner derivations need not be cyclic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,40 +42,48 @@ from .duals import (D1A, D1F, D2A, D2F, L, R, BlockIdentity, BlockLayout,
                     block_system, duplication_dual_blocks,
                     duplication_nth_dual, nth_dual_bimodule, slot_system)
 from .errors import DecompositionDefect, HypothesisNotMet, UnitRequired
-from .linalg import (DEFAULT_TOL, Subspace, rank_nullspace, solve_affine,
-                     subspace_intersect)
+from .linalg import (DEFAULT_TOL, Subspace, _streamed_nullspace,
+                     rank_nullspace, solve_affine, subspace_intersect)
 
 
 # ---------------------------------------------------------------------------
 # generic derivation machinery
 
 
+def _leibniz_blocks(mult: np.ndarray, bim: DualBimodule):
+    """The Leibniz rows over vec(D), one ``i`` (N·dx rows) at a time."""
+    n, dx = mult.shape[0], bim.module_dim
+    eye_n, eye_x = np.eye(n), np.eye(dx)
+    for i in range(n):
+        # axes (j, k | l, m): row (j, k) is entry k of
+        # D(e_i e_j) - D(e_i).e_j - e_i.D(e_j), column (l, m) is D[l, m].
+        # Each term is a broadcast product, not an einsum sum from +0.0, so
+        # every entry, signed zeros included, is that of the Kronecker form
+        rows = (eye_x[None, :, :, None] * mult[i, :, None, None, :]
+                - bim.right_ops[:, :, :, None] * eye_n[i]
+                - bim.left_ops[i][None, :, :, None] * eye_n[:, None, None, :])
+        yield rows.reshape(n * dx, dx * n)
+
+
 def derivation_constraints(mult: np.ndarray, bim: DualBimodule) -> np.ndarray:
     """Leibniz constraint matrix over vec(D), rows for every basis pair."""
-    n = mult.shape[0]
-    dx = bim.module_dim
-    eye_n, eye_x = np.eye(n), np.eye(dx)
-    # axes (i, j, k | l, m): row (i, j, k) is entry k of
-    # D(e_i e_j) - D(e_i).e_j - e_i.D(e_j), column (l, m) is D[l, m].
-    # Each term is a broadcast product, not an einsum sum from +0.0, so
-    # every entry, signed zeros included, is that of the Kronecker form
-    rows = (eye_x[None, None, :, :, None] * mult[:, :, None, None, :]
-            - bim.right_ops[None, :, :, :, None] * eye_n[:, None, None, None, :]
-            - bim.left_ops[:, None, :, :, None] * eye_n[None, :, None, None, :])
-    return rows.reshape(n * n * dx, dx * n)
+    empty = np.zeros((0, bim.module_dim * mult.shape[0]))
+    return np.vstack([empty, *_leibniz_blocks(mult, bim)])
 
 
 def derivation_space(alg: FinDimAlgebra, bim: DualBimodule,
                      tol: float = DEFAULT_TOL) -> Subspace:
     """All derivations of the algebra into the bimodule, as vec'd matrices."""
-    _, null = rank_nullspace(derivation_constraints(alg.mult, bim), tol)
+    _, null = _streamed_nullspace(_leibniz_blocks(alg.mult, bim),
+                                  bim.module_dim * alg.dim, tol)
     return null
 
 
 def derivation_defect(mult: np.ndarray, bim: DualBimodule, d: np.ndarray) -> float:
     """Worst Leibniz residual of a candidate derivation matrix."""
-    resid = derivation_constraints(mult, bim) @ np.reshape(d, -1)
-    return float(np.max(np.abs(resid), initial=0.0))
+    vec = np.reshape(d, -1)
+    return max((float(np.max(np.abs(block @ vec), initial=0.0))
+                for block in _leibniz_blocks(mult, bim)), default=0.0)
 
 
 def inner_derivation(bim: DualBimodule, x: np.ndarray) -> np.ndarray:
@@ -99,9 +110,9 @@ def _antisymmetry_rows(n: int) -> np.ndarray:
 def cyclic_derivation_space(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subspace:
     """Derivations into the first dual with antisymmetric pairing matrix."""
     bim = nth_dual_bimodule(alg, 1)
-    system = np.vstack([derivation_constraints(alg.mult, bim),
-                        _antisymmetry_rows(alg.dim)])
-    _, null = rank_nullspace(system, tol)
+    blocks = itertools.chain(_leibniz_blocks(alg.mult, bim),
+                             [_antisymmetry_rows(alg.dim)])
+    _, null = _streamed_nullspace(blocks, alg.dim * alg.dim, tol)
     return null
 
 

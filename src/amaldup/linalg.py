@@ -3,7 +3,10 @@
 Every other module reduces to the primitives here: SVD-based rank and
 nullspace with a relative threshold, least-norm linear solves with a
 certified residual, and orthonormal subspaces supporting sum,
-intersection and containment tests.
+intersection and containment tests.  Systems too tall to hold whole go
+through :func:`_streamed_nullspace`, which folds their row blocks into
+one triangular factor (sequential TSQR) and hands that factor to
+:func:`rank_nullspace`.
 
 Conventions:
   * matrices are ``numpy`` arrays of ``complex128``;
@@ -155,6 +158,45 @@ def rank_nullspace(m, tol: float = DEFAULT_TOL,
     rank = int(np.sum(s > cut)) if smax > 0 else 0
     null_basis = vh[rank:].conj().T
     return rank, Subspace(m.shape[1], null_basis, tol)
+
+
+# Rows buffered before each fold into R, as a multiple of the column count:
+# a fold re-factors R along with the buffer, so a buffer several times
+# taller than R keeps that repeated work a small share, while the rows in
+# memory stay a fixed multiple of one R factor.
+_FOLD_ROWS_PER_COL = 4
+
+
+def _streamed_nullspace(blocks, cols: int, tol: float = DEFAULT_TOL,
+                        atol: float = 0.0) -> tuple[int, Subspace]:
+    """:func:`rank_nullspace` of the stacked row ``blocks`` (each ``cols`` wide).
+
+    Blocks are buffered until they reach ``_FOLD_ROWS_PER_COL * cols``
+    rows; each full buffer is folded into the R factor of everything seen
+    so far, ``R = qr([R; buffer], mode="r")``, and ``[R; rest]`` goes to
+    :func:`rank_nullspace` at the end.  R has the Gram matrix of the rows
+    it replaces, so the singular values and right singular vectors are
+    those of the whole system up to the backward error of the QR, and
+    ``tol`` and ``atol`` keep their meaning (the normal equations are
+    never formed).  A system shorter than one buffer is solved as it
+    stands.
+    """
+    limit = _FOLD_ROWS_PER_COL * cols
+    buffer, height = [np.zeros((0, cols))], 0
+    for block in blocks:
+        buffer.append(block)
+        height += block.shape[0]
+        if height >= limit:
+            buffer, height = [_fold(buffer)], 0
+    return rank_nullspace(np.vstack(buffer), tol, atol)
+
+
+def _fold(buffer: list) -> np.ndarray:
+    """R factor of the stacked ``buffer``, which is emptied first so that
+    its pieces are freed before the QR copies the stack."""
+    stacked = np.vstack(buffer)
+    buffer.clear()
+    return np.linalg.qr(stacked, mode="r")
 
 
 def solve_affine(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:

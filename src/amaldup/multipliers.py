@@ -3,7 +3,8 @@
 A left multiplier of C is an operator commuting with every left
 multiplication, ``T(cx) = c T(x)``; the space of all of them is a single
 nullspace over operator coordinates, ``vec(T) = T.reshape(-1)``.  That
-commutant system on the assembled duplication is the direct route.
+commutant system on the assembled duplication, streamed one operator at
+a time into one R factor, is the direct route.
 
 The block route splits a multiplier into T1A|T1F|T2A|T2F and states its
 eight identities once, in :func:`multiplier_identities`; the residual
@@ -22,7 +23,7 @@ from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
                     BlockQuadruple, DualActionBlocks, block_nullspace,
                     block_residuals)
 from .errors import DecompositionDefect, ShapeError
-from .linalg import DEFAULT_TOL, Subspace, rank_nullspace
+from .linalg import DEFAULT_TOL, Subspace, _streamed_nullspace
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,22 @@ class MultiplierQuadruple(BlockQuadruple):
     t2_f: np.ndarray = field(repr=False)
 
 
+def _commutant_blocks(ops: np.ndarray):
+    """The rows of ``T @ op - op @ T = 0`` over vec(T), one op at a time."""
+    d = ops.shape[1]
+    eye = np.eye(d)
+    for op in ops:
+        # axes (a, b | c, e): row (a, b) is entry (a, b) of T op - op T,
+        # column (c, e) is T[c, e]
+        rows = (eye[:, None, :, None] * op.T[None, :, None, :]
+                - op[:, None, :, None] * eye[None, :, None, :])
+        yield rows.reshape(d * d, d * d)
+
+
 def commutant_constraints(ops: np.ndarray) -> np.ndarray:
     """Rows of ``T @ op - op @ T = 0`` over vec(T), stacked for all ops."""
     d = ops.shape[1]
-    eye = np.eye(d)
-    # axes (o, a, b | c, e): row (o, a, b) is entry (a, b) of
-    # T op_o - op_o T, column (c, e) is T[c, e]
-    ops_t = np.swapaxes(ops, 1, 2)
-    rows = (eye[None, :, None, :, None] * ops_t[:, None, :, None, :]
-            - ops[:, :, None, :, None] * eye[None, None, :, None, :])
-    return rows.reshape(len(ops) * d * d, d * d)
+    return np.vstack([np.zeros((0, d * d)), *_commutant_blocks(ops)])
 
 
 def multiplier_space(alg: FinDimAlgebra, side: str = "left",
@@ -60,8 +67,8 @@ def multiplier_space(alg: FinDimAlgebra, side: str = "left",
         ops = np.stack([alg.right_op(e) for e in eye])
     else:
         raise ValueError(f"unknown side {side!r}")
-    _, null = rank_nullspace(commutant_constraints(ops), tol,
-                             atol=tol * float(np.max(np.abs(ops))))
+    _, null = _streamed_nullspace(_commutant_blocks(ops), alg.dim * alg.dim, tol,
+                                  atol=tol * float(np.max(np.abs(ops))))
     return null
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from amaldup.algebra import (BimoduleAction, FinDimAlgebra,
                              canonical_construction)
+from amaldup.linalg import DEFAULT_TOL, rank_nullspace, subspace_equal
 from amaldup.sampling import random_unitary
 
 
@@ -51,6 +52,19 @@ def conditioned(rng, n, cond):
     """A random basis change with condition number ``cond``."""
     spread = np.diag(np.geomspace(1.0, cond, n))
     return random_unitary(rng, n) @ spread @ random_unitary(rng, n)
+
+
+def assert_same_solve(system, space, tol=DEFAULT_TOL, atol=0.0):
+    """``space`` has the rank and nullspace of the dense ``system`` (the
+    bases within ``tol`` of each other), and each of its basis vectors
+    solves it to ten times the rank cut, ``10 * max(tol * |system|_2, atol)``."""
+    _, dense = rank_nullspace(system, tol, atol)
+    assert space.dim == dense.dim
+    if space.dim and system.size:
+        cut = max(tol * np.linalg.norm(system, 2), atol)
+        resid = np.linalg.norm(system @ space.basis, axis=0)
+        assert np.max(resid) <= 10 * cut
+        assert subspace_equal(dense, space)
 
 
 @pytest.fixture

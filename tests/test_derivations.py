@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from amaldup.algebra import (FinDimAlgebra, duplicate, natural_action,
-                             span_products)
+from amaldup.algebra import (BimoduleAction, FinDimAlgebra, duplicate,
+                             natural_action, span_products)
 from amaldup.derivations import (CYCLIC_IDENTITIES, _antisymmetry_rows,
                                  cohomology, corollary_dt_check,
                                  cyclic_amenability, cyclic_derivation_space,
@@ -24,10 +26,12 @@ from amaldup.errors import HypothesisNotMet, UnitRequired
 from amaldup.linalg import (DEFAULT_TOL, rank_nullspace, solve_affine,
                             subspace_equal, subspace_intersect)
 from amaldup.multipliers import (commutant_constraints, left_multiplier_space,
-                                 multiplier_identities, quadruple_space)
+                                 multiplier_identities, multiplier_space,
+                                 quadruple_space)
 from amaldup.sampling import random_triple, random_unitary
 
-from conftest import pointwise_algebra, scalar_algebra, zero_algebra
+from conftest import (assert_same_solve, conditioned, pointwise_algebra,
+                      scalar_algebra, zero_algebra)
 
 
 class TestDerivationSpace:
@@ -366,21 +370,42 @@ class TestLadder:
     # self-duplications under the natural action: Z1 = N - 2 when
     # k = N/2 is even (truncated polynomials), 0 when k is odd
     # (pointwise), and LM = N, on both routes
-    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("n", [8, 10, 16])
     def test_closed_forms_on_both_routes(self, n):
-        k = n // 2
-        s = random_unitary(np.random.default_rng(n), k)
-        mult = np.einsum("ai,bj,abk,mk->ijm", s, s, ladder_core(n), s.conj().T)
-        alg = FinDimAlgebra.from_mult(mult)
-        act = natural_action(alg)
-        dup = duplicate(alg, alg, act)
-        z1 = n - 2 if k % 2 == 0 else 0
+        alg, act, dup = ladder_duplication(n)
+        z1 = n - 2 if (n // 2) % 2 == 0 else 0
         for level in (0, 1):
             bim = nth_dual_bimodule(dup, level)
             assert derivation_space(dup, bim).dim == z1
             assert derivation_quadruple_space(alg, alg, act, level).dim == z1
         assert left_multiplier_space(dup).dim == n
         assert quadruple_space(alg, alg, act).dim == n
+
+    def test_direct_route_never_holds_the_dense_system(self):
+        # at N = 20 the level-0 Leibniz and commutant systems are both
+        # 8000 x 400 complex; the streamed solves peak below that size
+        _, _, dup = ladder_duplication(20)
+        bim = nth_dual_bimodule(dup, 0)
+        dense_bytes = 20 ** 3 * 20 ** 2 * 16
+        for solve in (lambda: derivation_space(dup, bim),
+                      lambda: left_multiplier_space(dup)):
+            tracemalloc.start()
+            try:
+                solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < dense_bytes
+
+
+def ladder_duplication(n):
+    """The natural self-duplication of ``ladder_core(n)`` in a unitary basis."""
+    k = n // 2
+    s = random_unitary(np.random.default_rng(n), k)
+    mult = np.einsum("ai,bj,abk,mk->ijm", s, s, ladder_core(n), s.conj().T)
+    alg = FinDimAlgebra.from_mult(mult)
+    act = natural_action(alg)
+    return alg, act, duplicate(alg, alg, act)
 
 
 def kron_derivation_constraints(mult, bim):
@@ -470,6 +495,45 @@ class TestDirectSystems:
                     assert derivation_defect(dup.mult, bim, d) == pytest.approx(
                         loop_derivation_defect(dup.mult, bim, d),
                         rel=1e-12, abs=1e-14)
+
+    def test_streamed_solves_match_dense(
+            self, zero_pair, lau_unital, module_extension, triangular):
+        # Z1 at levels 0-3, both commutants and cyclic Z1 of A, F and the
+        # duplication, against one SVD of the stacked system: the fixtures,
+        # 40 draws, a factor of dimension 0, and duplications moved by a
+        # basis change of condition number 10^3
+        rng = np.random.default_rng(9)
+        triples = [zero_pair, lau_unital, module_extension, triangular]
+        triples += [random_triple(rng)[:3] for _ in range(40)]
+        algebras = [alg for a, f, act in triples
+                    for alg in (a, f, duplicate(a, f, act, validate=False))]
+        for dup in algebras[2:3 * 12:3]:
+            s = conditioned(rng, dup.dim, 1e3)
+            algebras.append(FinDimAlgebra.from_mult(np.einsum(
+                "ai,bj,abk,mk->ijm", s, s, dup.mult, np.linalg.inv(s))))
+        for alg in algebras:
+            for n in range(4):
+                bim = nth_dual_bimodule(alg, n)
+                assert_same_solve(derivation_constraints(alg.mult, bim),
+                                  derivation_space(alg, bim))
+            bim = nth_dual_bimodule(alg, 1)
+            assert_same_solve(np.vstack([derivation_constraints(alg.mult, bim),
+                                         _antisymmetry_rows(alg.dim)]),
+                              cyclic_derivation_space(alg))
+            for side, op in (("left", alg.left_op), ("right", alg.right_op)):
+                ops = np.stack([op(e) for e in np.eye(alg.dim)])
+                assert_same_solve(commutant_constraints(ops),
+                                  multiplier_space(alg, side),
+                                  atol=DEFAULT_TOL * float(np.max(np.abs(ops))))
+        empty = zero_algebra(0)
+        dup = duplicate(empty, scalar_algebra(), BimoduleAction.zero(0, 1),
+                        validate=False)
+        for alg in (empty, dup):
+            for n in range(4):
+                bim = nth_dual_bimodule(alg, n)
+                assert_same_solve(derivation_constraints(alg.mult, bim),
+                                  derivation_space(alg, bim))
+            assert cyclic_derivation_space(alg).dim == 0
 
     def test_antisymmetry_rows_match_loop(self):
         for n in range(1, 9):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amaldup.errors import InvalidMatrix, ShapeError
-from amaldup.linalg import (Subspace, rank_nullspace, solve_affine,
-                            subspace_contains, subspace_equal,
-                            subspace_intersect, subspace_sum)
+from amaldup.linalg import (_FOLD_ROWS_PER_COL, Subspace, _streamed_nullspace,
+                            rank_nullspace, solve_affine, subspace_contains,
+                            subspace_equal, subspace_intersect, subspace_sum)
+
+from conftest import assert_same_solve, conditioned
 
 
 def random_complex(rng, *shape):
@@ -67,6 +69,67 @@ class TestRankNullspace:
         assert rank == 1
         assert null.dim == n - 1
         assert np.max(np.abs(v @ null.basis), initial=0.0) < 1e-12 * np.linalg.norm(v)
+
+
+def split_rows(rng, m, most):
+    """``m`` cut into consecutive row blocks of 1 to ``most`` rows."""
+    cuts, at = [], 0
+    while at < m.shape[0]:
+        at = min(m.shape[0], at + int(rng.integers(1, most + 1)))
+        cuts.append(at)
+    return np.split(m, cuts[:-1])
+
+
+def low_rank(rng, rows, cols, rank):
+    return random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+
+
+class TestStreamedNullspace:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_dense_solve(self, seed):
+        # tall rank-deficient systems, long enough to fold at least once,
+        # in blocks from single rows (wider than tall) to several R heights
+        rng = np.random.default_rng(seed)
+        cols = int(rng.integers(2, 13))
+        rows = int(rng.integers(_FOLD_ROWS_PER_COL, 4 * _FOLD_ROWS_PER_COL)) * cols
+        m = low_rank(rng, rows, cols, int(rng.integers(0, cols + 1)))
+        most = 1 if seed % 3 == 0 else int(rng.integers(1, 3 * cols))
+        blocks = split_rows(rng, m, most)
+        rank, null = _streamed_nullspace(iter(blocks), cols)
+        assert rank == rank_nullspace(m)[0]
+        assert_same_solve(m, null)
+
+    def test_basis_change_condition_1e3(self):
+        # M S has the rank of M and the nullspace S^-1 null(M)
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            m = low_rank(rng, 40 * 6, 6, 4)
+            s = conditioned(rng, 6, 1e3)
+            rank, null = _streamed_nullspace(split_rows(rng, m @ s, 7), 6)
+            assert rank == 4
+            assert_same_solve(m @ s, null)
+
+    def test_one_buffer_is_the_dense_solve(self):
+        # a system below the fold height goes to rank_nullspace unchanged
+        rng = np.random.default_rng(21)
+        m = low_rank(rng, 3 * 5, 5, 3)
+        _, dense = rank_nullspace(m)
+        _, streamed = _streamed_nullspace(iter(np.split(m, 3)), 5)
+        assert streamed.basis.tobytes() == dense.basis.tobytes()
+
+    def test_zero_columns_and_no_rows(self):
+        rank, null = _streamed_nullspace(iter([np.zeros((k, 0)) for k in (3, 9)]), 0)
+        assert (rank, null.ambient_dim, null.dim) == (0, 0, 0)
+        rank, null = _streamed_nullspace(iter([]), 4)
+        assert (rank, null.dim) == (0, 4)
+
+    def test_absolute_floor_is_kept(self):
+        # round-off sized rows count as zero below atol, folded or not
+        rng = np.random.default_rng(22)
+        noise = 1e-14 * random_complex(rng, 30 * 4, 4)
+        for blocks in (np.split(noise, 30), [noise[:8]]):
+            rank, null = _streamed_nullspace(iter(blocks), 4, atol=1e-9)
+            assert (rank, null.dim) == (0, 4)
 
 
 class TestSolveAffine:
