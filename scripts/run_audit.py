@@ -15,6 +15,7 @@ import sys
 import time
 
 from amaldup import audit
+from amaldup.linalg import DEFAULT_TOL
 
 
 def write_witness(out: pathlib.Path, stem: str, witness: dict) -> None:
@@ -33,7 +34,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--witness-dir", default=None,
                         help="write the JSON parts of failing witnesses here")
     args = parser.parse_args()

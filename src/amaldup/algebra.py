@@ -110,7 +110,8 @@ class BimoduleAction:
         return np.einsum("p,ipk->ki", as_cvector(beta), self.right)
 
     def is_symmetric(self, tol: float = DEFAULT_TOL) -> bool:
-        return float(np.max(np.abs(self.left - self.right.transpose(1, 0, 2)))) <= tol
+        return float(np.max(np.abs(self.left - self.right.transpose(1, 0, 2)),
+                            initial=0.0)) <= tol
 
 
 @dataclass(frozen=True)

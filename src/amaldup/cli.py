@@ -321,14 +321,15 @@ def cmd_amenability(args):
     a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
     dup = duplicate(a, f, act, args.tol)
     algebras = {"a": a, "f": f, "duplication": dup}
-    # one report per (algebra, level); level 1 also carries the cyclic rows
-    reports = {(tag, n): cohomology(alg, n, tol=args.tol)
-               for n in {*range(args.max_level + 1), 1}
+    # one report per (algebra, parity), since level n is level n - 2; the
+    # odd one is level 1, which also carries the cyclic rows
+    reports = {(tag, p): cohomology(alg, p, tol=args.tol)
+               for p in {n % 2 for n in range(args.max_level + 1)} | {1}
                for tag, alg in algebras.items()}
     rows = []
     for n in range(args.max_level + 1):
         rows.append(_row(f"weakly-amenable-level-{n}", "info", value={
-            tag: reports[tag, n].weakly_amenable for tag in algebras}))
+            tag: reports[tag, n % 2].weakly_amenable for tag in algebras}))
     for tag in algebras:
         rows.append(_row(f"cyclically-amenable-{tag}", "info",
                          value=reports[tag, 1].cyclically_amenable))
@@ -369,9 +370,11 @@ def _bundle_checks(bundle: AlgebraBundle, tol: float):
     rows.append(_row("bundle-multiplier-dimension",
                      "pass" if direct == blockwise else "fail",
                      value={"direct": direct, "blocks": blockwise}))
+    dims = {p: (derivation_space(dup, nth_dual_bimodule(dup, p), tol).dim,
+                derivation_quadruple_space(a, f, act, p, tol).dim)
+            for p in (0, 1)}  # level n is level n - 2
     for n in (0, 1, 2):
-        dz = derivation_space(dup, nth_dual_bimodule(dup, n), tol).dim
-        bz = derivation_quadruple_space(a, f, act, n, tol).dim
+        dz, bz = dims[n % 2]
         rows.append(_row(f"bundle-derivation-dimension-level-{n}",
                          "pass" if dz == bz else "fail",
                          value={"direct": dz, "blocks": bz}))

@@ -14,8 +14,8 @@ The block route splits a derivation of a duplication into the level-n
 dual into D1A|D1F|D2A|D2F and states the paper's identities once, in
 :func:`derivation_identities` (two shared, six by parity of n, in the
 grammar of :class:`~amaldup.duals.BlockIdentity`).  That one table gives
-the residual checks, the quadruple spaces whose dimensions must equal
-the direct ones, and the extension systems of :func:`property_h`.
+the residual checks and the quadruple spaces whose dimensions must equal
+the direct ones; :func:`property_h` reads the D1A blocks of the odd one.
 
 Inner derivations ad(x, phi) have their own table, :func:`_ad_table`:
 per slot, the witness parts read and the families ``Op_L - Op_R``; the
@@ -39,8 +39,8 @@ from .algebra import BimoduleAction, FinDimAlgebra, duplicate
 from .duals import (D1A, D1F, D2A, D2F, L, R, BlockIdentity, BlockLayout,
                     BlockQuadruple, DualActionBlocks, DualBimodule,
                     TransposedSum, block_nullspace, block_residuals,
-                    block_system, duplication_dual_blocks,
-                    duplication_nth_dual, nth_dual_bimodule, slot_system)
+                    duplication_dual_blocks, duplication_nth_dual,
+                    nth_dual_bimodule, slot_system)
 from .errors import DecompositionDefect, HypothesisNotMet, UnitRequired
 from .linalg import (DEFAULT_TOL, Subspace, _streamed_nullspace,
                      rank_nullspace, solve_affine, subspace_intersect)
@@ -426,21 +426,17 @@ def property_h(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     """Whether every derivation of A into its (2n+1)-th dual extends.
 
     Extension means a compatible pair (D1F derivation, D2A linear)
-    satisfying the odd block identities that involve either of them.
-    Those identities are linear in D1A too, so with the D1A columns moved
-    to the right-hand side, solvability on a basis of Z1 decides the
-    property.
+    satisfying the odd block identities, so D1A extends exactly when it is
+    the D1A block of a quadruple (D2F = 0 completes one).  Those blocks lie
+    in Z1(A, 2n+1) by D1A's own Leibniz identity; the property holds when
+    they span it, i.e. the D1A rows of the orthonormal quadruple basis
+    have rank dim Z1, cut at ``tol``.
     """
     level = 2 * n + 1
     z1 = derivation_space(a, nth_dual_bimodule(a, level), tol)
-    identities = [i for i in derivation_identities(a, f, act, level)
-                  if {i.slot, *(t for _, t, _ in i.terms)} & {D1F, D2A}]
-    layout = BlockLayout(a.dim, f.dim)
-    system = block_system(identities, layout)
-    offs = layout.offsets
-    rhs = -system[:, offs[D1A]:offs[D1F]] @ z1.basis
-    return all(solve_affine(system[:, offs[D1F]:offs[D2F]], rhs[:, col], tol)
-               is not None for col in range(z1.dim))
+    quads = derivation_quadruple_space(a, f, act, level, tol)
+    rank, _ = rank_nullspace(quads.basis[:a.dim * a.dim], tol, tol)
+    return rank == z1.dim
 
 
 def weak_amenability(alg: FinDimAlgebra, n: int, tol: float = DEFAULT_TOL) -> bool:

@@ -22,12 +22,13 @@ The same permutations drive the dual tower of a bimodule,
     L_{n+1}(c) = R_n(c)^T,   R_{n+1}(c) = L_n(c)^T,
 
 and the blockwise tower of a duplication, whose mixing blocks swap sides
-with the parity of the level.
+with the parity of the level.  Dualizing twice returns the same arrays,
+so both towers build level n from n mod 2 and keep n only as its label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -58,10 +59,10 @@ class DualBimodule:
     def module_dim(self) -> int:
         return self.left_ops.shape[1]
 
-    def raised(self) -> "DualBimodule":
-        return DualBimodule(self.level + 1,
-                            np.transpose(self.right_ops, (0, 2, 1)),
-                            np.transpose(self.left_ops, (0, 2, 1)))
+
+def _transposed(family: np.ndarray) -> np.ndarray:
+    """Each operator of a family, transposed: its action on the dual."""
+    return np.transpose(family, (0, 2, 1))
 
 
 def algebra_bimodule(alg: FinDimAlgebra) -> DualBimodule:
@@ -72,13 +73,14 @@ def algebra_bimodule(alg: FinDimAlgebra) -> DualBimodule:
 
 
 def nth_dual_bimodule(alg: FinDimAlgebra, n: int) -> DualBimodule:
-    """Action operators on the n-th dual, by the transpose recursion."""
+    """Action operators on the n-th dual: level 0's at even n; at odd n
+    the transposed right operators act on the left and vice versa."""
     if n < 0:
         raise ValueError("dual level must be nonnegative")
     bim = algebra_bimodule(alg)
-    for _ in range(n):
-        bim = bim.raised()
-    return bim
+    if n % 2 == 0:
+        return replace(bim, level=n)
+    return DualBimodule(n, _transposed(bim.right_ops), _transposed(bim.left_ops))
 
 
 @dataclass(frozen=True)
@@ -188,22 +190,23 @@ class DualActionBlocks:
             mix_left=np.transpose(act.right, (0, 2, 1)),   # a acting on F-dual
             mix_right=np.transpose(act.left, (1, 2, 0)))
 
-    def raised(self) -> "DualActionBlocks":
-        t = lambda fam: np.transpose(fam, (0, 2, 1))
-        return DualActionBlocks(
-            level=self.level + 1,
-            a_left=t(self.a_right), a_right=t(self.a_left),
-            f_left=t(self.f_right), f_right=t(self.f_left),
-            act_left=t(self.act_right), act_right=t(self.act_left),
-            mix_left=t(self.mix_right), mix_right=t(self.mix_left))
-
 
 def duplication_dual_blocks(a: FinDimAlgebra, f: FinDimAlgebra,
                             act: BimoduleAction, n: int) -> DualActionBlocks:
-    blocks = DualActionBlocks.level0(a, f, act)
-    for _ in range(n):
-        blocks = blocks.raised()
-    return blocks
+    """The level-n families: level 0's at even n; at odd n every left/right
+    pair swapped and transposed, as in :func:`nth_dual_bimodule`."""
+    if n < 0:
+        raise ValueError("dual level must be nonnegative")
+    b = DualActionBlocks.level0(a, f, act)
+    if n % 2 == 0:
+        return replace(b, level=n)
+    t = _transposed
+    return DualActionBlocks(
+        level=n,
+        a_left=t(b.a_right), a_right=t(b.a_left),
+        f_left=t(b.f_right), f_right=t(b.f_left),
+        act_left=t(b.act_right), act_right=t(b.act_left),
+        mix_left=t(b.mix_right), mix_right=t(b.mix_left))
 
 
 def assemble_duplication_dual(blocks: DualActionBlocks) -> DualBimodule:
@@ -397,29 +400,17 @@ def block_residuals(identities, blocks) -> dict[str, float]:
     return {ident.name: ident.residual(blocks) for ident in identities}
 
 
-def block_system(identities, layout: BlockLayout) -> np.ndarray:
-    """All identities as one constraint matrix over vec coordinates."""
-    sizes = [ident.row_count(layout) for ident in identities]
-    ends, offs = np.cumsum([0] + sizes), layout.offsets
-    system = np.zeros((ends[-1], offs[-1]), dtype=complex)
-    for ident, start, stop in zip(identities, ends[:-1], ends[1:]):
-        for t, block in ident.coefficients(layout).items():
-            system[start:stop, offs[t]:offs[t + 1]] = block
-    return system
-
-
 def slot_system(identities, layout: BlockLayout, slot: int) -> np.ndarray:
     """The rows of identities that all touch ``slot``, over its columns only.
 
-    Equal to the slot's columns of :func:`block_system`; the other slots'
-    columns are never built.
+    The other slots' columns are never built.
     """
     return np.vstack([ident.coefficients(layout)[slot] for ident in identities])
 
 
 def block_nullspace(identities, layout: BlockLayout,
                     tol: float = DEFAULT_TOL) -> Subspace:
-    """Nullspace of :func:`block_system`, solved slot by slot.
+    """Nullspace of the identities' joint system, solved slot by slot.
 
     Stage 1 takes, for every slot s, the nullspace N_s of the identities
     that touch s alone (all of C^size(s) when there are none).  Stage 2

@@ -20,8 +20,8 @@ import numpy as np
 
 from .algebra import BimoduleAction, FinDimAlgebra, duplicate, span_products
 from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
-                    BlockQuadruple, DualActionBlocks, block_nullspace,
-                    block_residuals)
+                    BlockQuadruple, DualActionBlocks, algebra_bimodule,
+                    block_nullspace, block_residuals)
 from .errors import DecompositionDefect, ShapeError
 from .linalg import DEFAULT_TOL, Subspace, _streamed_nullspace
 
@@ -60,15 +60,12 @@ def commutant_constraints(ops: np.ndarray) -> np.ndarray:
 def multiplier_space(alg: FinDimAlgebra, side: str = "left",
                      tol: float = DEFAULT_TOL) -> Subspace:
     """Operators commuting with all left (or right) multiplications."""
-    eye = np.eye(alg.dim)
-    if side == "left":
-        ops = np.stack([alg.left_op(e) for e in eye])
-    elif side == "right":
-        ops = np.stack([alg.right_op(e) for e in eye])
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
+    bim = algebra_bimodule(alg)
+    ops = bim.left_ops if side == "left" else bim.right_ops
     _, null = _streamed_nullspace(_commutant_blocks(ops), alg.dim * alg.dim, tol,
-                                  atol=tol * float(np.max(np.abs(ops))))
+                                  atol=tol * float(np.max(np.abs(ops), initial=0.0)))
     return null
 
 

@@ -17,7 +17,10 @@ import pytest
 
 from amaldup.algebra import (BimoduleAction, FinDimAlgebra,
                              canonical_construction)
-from amaldup.linalg import DEFAULT_TOL, rank_nullspace, subspace_equal
+from amaldup.derivations import derivation_identities, derivation_space
+from amaldup.duals import D1A, D1F, D2A, D2F, BlockLayout, nth_dual_bimodule
+from amaldup.linalg import (DEFAULT_TOL, rank_nullspace, solve_affine,
+                            subspace_equal)
 from amaldup.sampling import random_unitary
 
 
@@ -65,6 +68,37 @@ def assert_same_solve(system, space, tol=DEFAULT_TOL, atol=0.0):
         resid = np.linalg.norm(system @ space.basis, axis=0)
         assert np.max(resid) <= 10 * cut
         assert subspace_equal(dense, space)
+
+
+def block_system(identities, layout):
+    """All identities as one constraint matrix over vec coordinates: the
+    joint system whose nullspace ``block_nullspace`` solves in stages."""
+    sizes = [ident.row_count(layout) for ident in identities]
+    ends, offs = np.cumsum([0] + sizes), layout.offsets
+    system = np.zeros((ends[-1], offs[-1]), dtype=complex)
+    for ident, start, stop in zip(identities, ends[:-1], ends[1:]):
+        for t, block in ident.coefficients(layout).items():
+            system[start:stop, offs[t]:offs[t + 1]] = block
+    return system
+
+
+def extension_reference(a, f, act, n=0, tol=DEFAULT_TOL):
+    """Property H by one extension solve per Z1 basis column.
+
+    The odd identities that involve D1F or D2A, with the D1A columns moved
+    to the right-hand side: every derivation of A into its (2n+1)-th dual
+    extends when each column of a Z1 basis gives a solvable system.
+    """
+    level = 2 * n + 1
+    z1 = derivation_space(a, nth_dual_bimodule(a, level), tol)
+    identities = [i for i in derivation_identities(a, f, act, level)
+                  if {i.slot, *(t for _, t, _ in i.terms)} & {D1F, D2A}]
+    layout = BlockLayout(a.dim, f.dim)
+    system = block_system(identities, layout)
+    offs = layout.offsets
+    rhs = -system[:, offs[D1A]:offs[D1F]] @ z1.basis
+    return all(solve_affine(system[:, offs[D1F]:offs[D2F]], rhs[:, col], tol)
+               is not None for col in range(z1.dim))
 
 
 @pytest.fixture

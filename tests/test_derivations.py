@@ -19,9 +19,8 @@ from amaldup.derivations import (CYCLIC_IDENTITIES, _antisymmetry_rows,
                                  module_derivation_space, property_h,
                                  unital_form_check, weak_amenability)
 from amaldup.duals import (BlockLayout, block_nullspace, block_residuals,
-                           block_system, duplication_dual_blocks,
-                           duplication_nth_dual, nth_dual_bimodule,
-                           slot_system)
+                           duplication_dual_blocks, duplication_nth_dual,
+                           nth_dual_bimodule, slot_system)
 from amaldup.errors import HypothesisNotMet, UnitRequired
 from amaldup.linalg import (DEFAULT_TOL, rank_nullspace, solve_affine,
                             subspace_equal, subspace_intersect)
@@ -30,8 +29,9 @@ from amaldup.multipliers import (commutant_constraints, left_multiplier_space,
                                  quadruple_space)
 from amaldup.sampling import random_triple, random_unitary
 
-from conftest import (assert_same_solve, conditioned, pointwise_algebra,
-                      scalar_algebra, zero_algebra)
+from conftest import (assert_same_solve, block_system, conditioned,
+                      extension_reference, pointwise_algebra, scalar_algebra,
+                      zero_algebra)
 
 
 class TestDerivationSpace:
@@ -511,6 +511,10 @@ class TestDirectSystems:
             s = conditioned(rng, dup.dim, 1e3)
             algebras.append(FinDimAlgebra.from_mult(np.einsum(
                 "ai,bj,abk,mk->ijm", s, s, dup.mult, np.linalg.inv(s))))
+        empty = zero_algebra(0)
+        dup = duplicate(empty, scalar_algebra(), BimoduleAction.zero(0, 1))
+        assert [left_multiplier_space(alg).dim for alg in (empty, dup)] == [0, 1]
+        algebras += [empty, dup]
         for alg in algebras:
             for n in range(4):
                 bim = nth_dual_bimodule(alg, n)
@@ -521,19 +525,14 @@ class TestDirectSystems:
                                          _antisymmetry_rows(alg.dim)]),
                               cyclic_derivation_space(alg))
             for side, op in (("left", alg.left_op), ("right", alg.right_op)):
-                ops = np.stack([op(e) for e in np.eye(alg.dim)])
+                ops = np.array([op(e) for e in np.eye(alg.dim)]).reshape(
+                    (alg.dim,) * 3)
                 assert_same_solve(commutant_constraints(ops),
                                   multiplier_space(alg, side),
-                                  atol=DEFAULT_TOL * float(np.max(np.abs(ops))))
-        empty = zero_algebra(0)
-        dup = duplicate(empty, scalar_algebra(), BimoduleAction.zero(0, 1),
-                        validate=False)
-        for alg in (empty, dup):
-            for n in range(4):
-                bim = nth_dual_bimodule(alg, n)
-                assert_same_solve(derivation_constraints(alg.mult, bim),
-                                  derivation_space(alg, bim))
-            assert cyclic_derivation_space(alg).dim == 0
+                                  atol=DEFAULT_TOL * float(
+                                      np.max(np.abs(ops), initial=0.0)))
+        assert cyclic_derivation_space(empty).dim == 0
+        assert cyclic_derivation_space(dup).dim == 0
 
     def test_antisymmetry_rows_match_loop(self):
         for n in range(1, 9):
@@ -656,6 +655,21 @@ class TestPropertyH:
         a, f, act = zero_pair
         assert property_h(a, f, act, 0)
         assert property_h(a, f, act, 1)
+
+    def test_matches_extension_reference(
+            self, zero_pair, lau_unital, module_extension, triangular):
+        # the rank of the quadruple space's D1A rows against one extension
+        # solve per Z1 basis column, on the fixtures and 64 draws
+        rng = np.random.default_rng(17)
+        triples = [zero_pair, lau_unital, module_extension, triangular]
+        triples += [random_triple(rng)[:3] for _ in range(44)]
+        triples += [random_triple(rng, unital_a=True)[:3] for _ in range(20)]
+        verdicts = []
+        for a, f, act in triples:
+            for n in (0, 1):
+                verdicts.append(property_h(a, f, act, n))
+                assert verdicts[-1] == extension_reference(a, f, act, n), n
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestAmenability:

@@ -9,6 +9,8 @@ from amaldup.duals import (arens_action_extensions, arens_products,
                            second_adjoint, second_dual_duplication_defect,
                            topological_centres)
 
+from amaldup.sampling import random_triple
+
 from conftest import pointwise_algebra, scalar_algebra
 
 
@@ -37,6 +39,13 @@ class TestAdjoints:
         assert lhs == pytest.approx(rhs)
 
 
+def climbed(left, right, n):
+    """A (left, right) family pair after n steps of L' = R^T, R' = L^T."""
+    for _ in range(n):
+        left, right = np.transpose(right, (0, 2, 1)), np.transpose(left, (0, 2, 1))
+    return left, right
+
+
 class TestDualTower:
     def test_level0_matches_multiplication(self, lau_unital):
         dup = duplicate(*lau_unital)
@@ -47,11 +56,27 @@ class TestDualTower:
                            dup.multiply(x, y))
 
     def test_double_transpose_returns(self, triangular):
-        dup = duplicate(*triangular)
-        b0 = nth_dual_bimodule(dup, 0)
-        b2 = nth_dual_bimodule(dup, 2)
-        assert np.array_equal(b0.left_ops, b2.left_ops)
-        assert np.array_equal(b0.right_ops, b2.right_ops)
+        # levels 0-5 against the recursion climbed one level at a time:
+        # bit-equal to it and to level n mod 2, and labelled n
+        a, f, act, _ = random_triple(np.random.default_rng(3))
+        for triple in (triangular, (a, f, act)):
+            dup = duplicate(*triple)
+            bim0 = nth_dual_bimodule(dup, 0)
+            blocks0 = duplication_dual_blocks(*triple, 0)
+            for n in range(6):
+                bim = nth_dual_bimodule(dup, n)
+                blocks = duplication_dual_blocks(*triple, n)
+                assert bim.level == blocks.level == n
+                families = [(bim, nth_dual_bimodule(dup, n % 2), bim0,
+                             "left_ops", "right_ops")]
+                families += [(blocks, duplication_dual_blocks(*triple, n % 2),
+                              blocks0, f"{fam}_left", f"{fam}_right")
+                             for fam in ("a", "f", "act", "mix")]
+                for got, parity, level0, left, right in families:
+                    want = climbed(getattr(level0, left), getattr(level0, right), n)
+                    for name, expected in zip((left, right), want):
+                        assert np.array_equal(getattr(got, name), expected)
+                        assert np.array_equal(getattr(parity, name), expected)
 
     def test_block_formulas_match_recursion(self, lau_unital, module_extension,
                                             triangular):
