@@ -18,8 +18,9 @@ import numpy as np
 from . import audit as audit_mod
 from .algebra import duplicate, span_products, validate_action, validate_algebra
 from .bundles import AlgebraBundle, algebra_to_obj, parse_bundle
-from .derivations import (cohomology, derivation_quadruple_space,
-                          derivation_space, property_h)
+from .derivations import (cohomology, cyclic_cohomology,
+                          derivation_quadruple_space, derivation_space,
+                          property_h)
 from .duals import (arens_products, essentiality, nth_dual_bimodule,
                     second_dual_duplication_defect, topological_centres)
 from .errors import DuplicateEntry, ParseError
@@ -300,11 +301,10 @@ def cmd_cyclic(args):
     dup = duplicate(a, f, act, args.tol)
     rows = []
     for tag, alg in (("a", a), ("f", f), ("duplication", dup)):
-        rep = cohomology(alg, 1, tol=args.tol)
+        z1c, h1c = cyclic_cohomology(alg, args.tol)
         rows.append(_row(f"cyclic-{tag}", "info",
-                         value={"Z1_cyclic": rep.dim_z1_cyclic,
-                                "H1_cyclic": rep.dim_h1_cyclic,
-                                "cyclically_amenable": rep.cyclically_amenable}))
+                         value={"Z1_cyclic": z1c, "H1_cyclic": h1c,
+                                "cyclically_amenable": h1c == 0}))
     return rows
 
 

@@ -93,9 +93,11 @@ def inner_derivation(bim: DualBimodule, x: np.ndarray) -> np.ndarray:
 
 def inner_space(alg: FinDimAlgebra, bim: DualBimodule,
                 tol: float = DEFAULT_TOL) -> Subspace:
-    vectors = [inner_derivation(bim, e).reshape(-1)
-               for e in np.eye(bim.module_dim)]
-    return Subspace.from_spanning(vectors, bim.module_dim * alg.dim, tol)
+    """B1: column m is vec of :func:`inner_derivation` at the basis vector e_m."""
+    dx = bim.module_dim
+    spanning = np.einsum("ckm->kcm", bim.left_ops - bim.right_ops)
+    return Subspace.from_spanning(spanning.reshape(dx * alg.dim, dx),
+                                  dx * alg.dim, tol)
 
 
 def _antisymmetry_rows(n: int) -> np.ndarray:
@@ -140,16 +142,23 @@ def cohomology(alg: FinDimAlgebra, n: int,
     bim = nth_dual_bimodule(alg, n)
     z1 = derivation_space(alg, bim, tol)
     b1 = inner_space(alg, bim, tol)
-    z1c_dim = h1c = None
-    if n == 1:
-        z1c = cyclic_derivation_space(alg, tol)
-        z1c_dim, h1c = z1c.dim, _h1_dim(b1, z1c, tol)
+    z1c_dim, h1c = _cyclic_dims(alg, b1, tol) if n == 1 else (None, None)
     return CohomologyReport(n, z1.dim, b1.dim, _h1_dim(b1, z1, tol), z1c_dim, h1c)
 
 
 def _h1_dim(b1: Subspace, z: Subspace, tol: float) -> int:
     """dim Z - dim(B1 ∩ Z): the cocycles in ``z`` modulo the inner ones."""
     return z.dim - subspace_intersect(b1, z, tol).dim
+
+
+def cyclic_cohomology(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> tuple[int, int]:
+    """Dimensions of cyclic Z1 and cyclic H1 at level one, without Z1 itself."""
+    return _cyclic_dims(alg, inner_space(alg, nth_dual_bimodule(alg, 1), tol), tol)
+
+
+def _cyclic_dims(alg: FinDimAlgebra, b1: Subspace, tol: float) -> tuple[int, int]:
+    z1c = cyclic_derivation_space(alg, tol)
+    return z1c.dim, _h1_dim(b1, z1c, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +457,7 @@ def weak_amenability(alg: FinDimAlgebra, n: int, tol: float = DEFAULT_TOL) -> bo
 
 def cyclic_amenability(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> bool:
     """Every cyclic derivation into the dual is inner."""
-    b1 = inner_space(alg, nth_dual_bimodule(alg, 1), tol)
-    return _h1_dim(b1, cyclic_derivation_space(alg, tol), tol) == 0
+    return cyclic_cohomology(alg, tol)[1] == 0
 
 
 def cyclic_quadruple_defects(a: FinDimAlgebra, f: FinDimAlgebra,

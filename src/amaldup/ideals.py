@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import BimoduleAction, FinDimAlgebra, duplicate
 from .errors import NotAProperIdeal, ShapeError
-from .linalg import DEFAULT_TOL, Subspace, rank_nullspace, subspace_sum
+from .linalg import DEFAULT_TOL, Subspace, rank_nullspace
 
 
 @dataclass(frozen=True)
@@ -124,15 +124,22 @@ def ideal_generated(alg: FinDimAlgebra, seeds, side: str = "left",
                     tol: float = DEFAULT_TOL) -> Subspace:
     """Smallest one-sided ideal containing the seed vectors.
 
-    Iterates ``S <- S + alg . S`` (and/or ``S . alg``) to a fixed point;
-    seeds are always kept, so the result is the unitized module closure.
+    Iterates ``S <- span[S | alg . S]`` (and/or ``S . alg``) to a fixed
+    point, one span per round (:func:`_closure`); seeds are always kept,
+    so the result is the unitized module closure.
     """
-    span = Subspace.from_spanning(list(seeds), alg.dim, tol)
-    ops = _side_ops(alg, side)
+    return _closure(_side_ops(alg, side),
+                    Subspace.from_spanning(list(seeds), alg.dim, tol))
+
+
+def _closure(ops: np.ndarray, span: Subspace) -> Subspace:
+    """Smallest ops-invariant subspace containing ``span``: each round is
+    one span of ``[S | op S ...]``, until the dimension stops growing."""
     while True:
-        grown = subspace_sum(span, Subspace.from_spanning(
-            np.concatenate(ops @ span.basis, axis=1), alg.dim, tol))
-        if grown.dim == span.dim:
+        grown = Subspace.from_spanning(
+            np.concatenate([span.basis, *(ops @ span.basis)], axis=1),
+            span.ambient_dim, span.tol)
+        if grown.dim in (span.dim, span.ambient_dim):
             return grown
         span = grown
 
@@ -149,17 +156,14 @@ def operator_algebra_dimension(ops: np.ndarray, tol: float = DEFAULT_TOL) -> int
     k = ops.shape[1]
     if k == 0:
         return 0
-    gens = [np.eye(k, dtype=complex)] + [np.asarray(op) for op in ops]
-    span = Subspace.from_spanning([g.reshape(-1) for g in gens], k * k, tol)
+    gens = np.concatenate([np.eye(k, dtype=complex)[None], ops])
+    span = Subspace.from_spanning(gens.reshape(-1, k * k).T, k * k, tol)
     while True:
-        products = []
-        for col in range(span.dim):
-            x = span.basis[:, col].reshape(k, k)
-            for g in gens:
-                products.append((x @ g).reshape(-1))
-        grown = subspace_sum(span, Subspace.from_spanning(products, k * k, tol))
-        if grown.dim == span.dim:
-            return span.dim
+        # every basis matrix times every generator; x @ I = x keeps S
+        products = span.basis.T.reshape(-1, 1, k, k) @ gens
+        grown = Subspace.from_spanning(products.reshape(-1, k * k).T, k * k, tol)
+        if grown.dim in (span.dim, k * k):
+            return grown.dim
         span = grown
 
 
@@ -176,19 +180,6 @@ def is_maximal_left_ideal(alg: FinDimAlgebra, i_sub: Subspace,
     ops = quotient_operators(alg, i_sub, side)
     k = ops.shape[1]
     return operator_algebra_dimension(ops, tol) == k * k
-
-
-def _closure_dim(ops: np.ndarray, mat: np.ndarray, tol: float) -> int:
-    """Dimension of the smallest ops-invariant subspace holding mat's
-    (linearly independent) columns; one SVD per growth round."""
-    n, dim = mat.shape
-    while True:
-        grown = np.hstack([mat] + list(ops @ mat))
-        u, s, _ = np.linalg.svd(grown, full_matrices=False)
-        rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-        if rank <= dim or rank == n:
-            return rank
-        mat, dim = u[:, :rank], rank
 
 
 # Ratio c of the fixed combination sum_j c^(j+1) op_j probed by the oracle.
@@ -225,12 +216,12 @@ def maximality_direction_oracle(alg: FinDimAlgebra, i_sub: Subspace,
         _, right = rank_nullspace(theta, tol, atol=floor)
         _, left = rank_nullspace(theta.T, tol, atol=floor)
         for v in right.basis.T:
-            probe = np.column_stack([i_sub.basis, q @ v])
-            if _closure_dim(ops, probe, tol) < alg.dim:
+            probe = Subspace(alg.dim, np.column_stack([i_sub.basis, q @ v]), tol)
+            if _closure(ops, probe).dim < alg.dim:
                 return False
         for u in left.basis.T:
-            probe = (q.conj() @ u).reshape(-1, 1)
-            if _closure_dim(ops.transpose(0, 2, 1), probe, tol) < k:
+            probe = Subspace(alg.dim, (q.conj() @ u).reshape(-1, 1), tol)
+            if _closure(ops.transpose(0, 2, 1), probe).dim < k:
                 return False
         certified = certified or right.dim == 1
     return True if certified else None

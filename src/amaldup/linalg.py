@@ -3,7 +3,10 @@
 Every other module reduces to the primitives here: SVD-based rank and
 nullspace with a relative threshold, least-norm linear solves with a
 certified residual, and orthonormal subspaces supporting sum,
-intersection and containment tests.  Systems too tall to hold whole go
+intersection and containment tests.  Every rank decision, spans
+included, is one SVD cut at ``max(tol * sigma_max, atol)``
+(:func:`_numerical_rank`); a span takes ``atol = tol``, so its cut is
+``tol * max(1, sigma_max)``.  Systems too tall to hold whole go
 through :func:`_streamed_nullspace`, which folds their row blocks into
 one triangular factor (sequential TSQR) and hands that factor to
 :func:`rank_nullspace`.
@@ -79,11 +82,13 @@ class Subspace:
     @staticmethod
     def from_spanning(vectors, ambient_dim: int | None = None,
                       tol: float = DEFAULT_TOL) -> "Subspace":
-        """Orthonormalize spanning vectors (given as columns or a list).
+        """Orthonormal basis of the span of vectors (given as columns or a list).
 
-        Modified Gram-Schmidt with one re-orthogonalization pass; vectors
-        whose residual after projection is below ``tol * max(1, |v|)``
-        are dropped as dependent.
+        One thin SVD: the left singular vectors whose singular value exceeds
+        ``tol * max(1, sigma_max)`` are kept, the cut of
+        :func:`rank_nullspace` with ``atol = tol``.  The floor keeps a span
+        of pure round-off at dimension 0, and the result does not depend on
+        the order of the vectors.
         """
         if isinstance(vectors, (list, tuple)):
             if len(vectors) == 0:
@@ -96,18 +101,10 @@ class Subspace:
         n = mat.shape[0]
         if ambient_dim is not None and n != ambient_dim:
             raise ShapeError(f"vectors live in C^{n}, expected C^{ambient_dim}")
-        cols: list[np.ndarray] = []
-        for j in range(mat.shape[1]):
-            v = mat[:, j]
-            w = v.copy()
-            for _ in range(2):  # MGS, re-orthogonalized
-                for q in cols:
-                    w = w - q * (q.conj() @ w)
-            norm = np.linalg.norm(w)
-            if norm > tol * max(1.0, np.linalg.norm(v)):
-                cols.append(w / norm)
-        basis = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
-        return Subspace(n, basis, tol)
+        if mat.size == 0:
+            return Subspace.zero(n, tol)
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
+        return Subspace(n, u[:, :_numerical_rank(s, tol, tol)], tol)
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
@@ -153,11 +150,14 @@ def rank_nullspace(m, tol: float = DEFAULT_TOL,
     if m.size == 0:
         return 0, Subspace.full(m.shape[1], tol) if m.shape[1] else Subspace.zero(0, tol)
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    smax = s[0] if s.size else 0.0
-    cut = max(tol * smax, atol)
-    rank = int(np.sum(s > cut)) if smax > 0 else 0
-    null_basis = vh[rank:].conj().T
-    return rank, Subspace(m.shape[1], null_basis, tol)
+    rank = _numerical_rank(s, tol, atol)
+    return rank, Subspace(m.shape[1], vh[rank:].conj().T, tol)
+
+
+def _numerical_rank(s: np.ndarray, tol: float, atol: float) -> int:
+    """The one rank cut: the number of singular values ``s`` (descending,
+    not empty) above ``max(tol * sigma_max, atol)``."""
+    return int(np.sum(s > max(tol * s[0], atol)))
 
 
 # Rows buffered before each fold into R, as a multiple of the column count:

@@ -51,6 +51,17 @@ def matrix_algebra(n):
     return c
 
 
+def group_algebra(elements, compose):
+    """C[G] on the basis of group elements."""
+    index = {g: k for k, g in enumerate(elements)}
+    m = len(elements)
+    c = np.zeros((m, m, m))
+    for g in elements:
+        for h in elements:
+            c[index[g], index[h], index[compose(g, h)]] = 1.0
+    return c
+
+
 def conditioned(rng, n, cond):
     """A random basis change with condition number ``cond``."""
     spread = np.diag(np.geomspace(1.0, cond, n))

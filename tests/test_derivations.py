@@ -30,8 +30,8 @@ from amaldup.multipliers import (commutant_constraints, left_multiplier_space,
 from amaldup.sampling import random_triple, random_unitary
 
 from conftest import (assert_same_solve, block_system, conditioned,
-                      extension_reference, pointwise_algebra, scalar_algebra,
-                      zero_algebra)
+                      extension_reference, group_algebra, matrix_algebra,
+                      pointwise_algebra, scalar_algebra, zero_algebra)
 
 
 class TestDerivationSpace:
@@ -104,6 +104,29 @@ class TestCohomology:
             z1 = derivation_space(dup, bim)
             b1 = inner_space(dup, bim)
             assert subspace_intersect(b1, z1).dim == b1.dim
+
+    S3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+    @pytest.mark.parametrize("mult, inner", [
+        (matrix_algebra(2), 3),
+        (matrix_algebra(3), 8),
+        (group_algebra(S3, lambda g, h: tuple(g[h[i]] for i in range(3))), 3),
+    ], ids=["M2", "M3", "C[S3]"])
+    def test_separable_closed_forms(self, mult, inner):
+        # separable algebras have H1 = 0 into every bimodule, so Z1 = B1,
+        # of dimension dim A - dim Z(A) into A and dim A - dim (A/[A, A])
+        # into A*: k^2 - 1 for M_k and 6 - 3 for C[S3], in any basis
+        rng = np.random.default_rng(mult.shape[0])
+        for cond in (10.0, 1e2, 1e3):
+            for _ in range(3):
+                s = conditioned(rng, mult.shape[0], cond)
+                alg = FinDimAlgebra.from_mult(np.einsum(
+                    "ai,bj,abk,mk->ijm", s, s, mult, np.linalg.inv(s)))
+                for tol in (1e-8, 1e-9, 1e-10):
+                    for n in (0, 1):
+                        report = cohomology(alg, n, tol)
+                        assert (report.dim_z1, report.dim_b1, report.dim_h1) == (
+                            inner, inner, 0), (cond, tol, n)
 
 
 @pytest.fixture

@@ -10,7 +10,8 @@ from amaldup.cli import _load_subspace
 from amaldup.errors import NotAProperIdeal
 from amaldup.ideals import (_MIX_RATIO, block_subspace, ideal_defect,
                             ideal_generated, is_ideal, is_maximal_left_ideal,
-                            maximality_direction_oracle, product_ideal_test,
+                            maximality_direction_oracle,
+                            operator_algebra_dimension, product_ideal_test,
                             project_components, submodule_defect)
 from amaldup.linalg import Subspace, rank_nullspace, subspace_equal
 from amaldup.sampling import random_triple, random_unitary
@@ -169,7 +170,28 @@ class TestIdealGenerated:
             assert first.residual(seeds) <= 1e-9
 
 
+    def test_two_sided_needs_two_rounds(self):
+        # in M_2, E11 generates the column {E11, E21} on the left and the
+        # row {E11, E12} on the right; E22 = E21 E11 E12 needs both sides
+        alg = FinDimAlgebra.from_mult(matrix_algebra(2))
+        dims = [ideal_generated(alg, [np.eye(4)[0]], side).dim
+                for side in ("left", "right", "two_sided")]
+        assert dims == [2, 2, 4]
+
+
 class TestMaximality:
+    def test_operator_algebra_closed_forms(self):
+        # the unital algebra generated by a k x k shift J is C[J], of
+        # dimension k, one power of J per growth round; J with its transpose
+        # generates all of M_k; both in any basis
+        rng = np.random.default_rng(7)
+        for k in (2, 3, 5):
+            shift = np.eye(k, k=1)
+            for s in (np.eye(k), conditioned(rng, k, 10.0)):
+                moved = np.linalg.inv(s) @ np.stack([shift, shift.T]) @ s
+                assert operator_algebra_dimension(moved[:1]) == k
+                assert operator_algebra_dimension(moved) == k * k
+
     def test_codim_one_ideal_maximal(self, triangular):
         dup = duplicate(*triangular)
         assert is_maximal_left_ideal(dup, span([[1, 0, 0], [0, 1, 0]], 3))

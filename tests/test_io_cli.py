@@ -162,6 +162,17 @@ class TestCli:
         assert rows["cyclic-duplication"]["H1_cyclic"] == 1
         assert rows["cyclic-a"]["cyclically_amenable"] is True
 
+    def test_cyclic_builds_no_full_derivation_space(self, monkeypatch):
+        # the cyclic rows read cyclic Z1 and B1 only, never Z1 at level one
+        from amaldup import derivations
+        calls, solve = [], derivations.derivation_space
+        monkeypatch.setattr(derivations, "derivation_space",
+                            lambda *args: calls.append(args) or solve(*args))
+        code, _ = run_command(["cyclic", fixture_path("triangular"),
+                               "--format", "json"])
+        assert code == 0
+        assert calls == []
+
     def test_ideals_subcommand(self, tmp_path):
         sub = tmp_path / "sub.json"
         sub.write_text('{"vectors": [[[0, 0], [1, 0], [0, 0]]]}')

@@ -188,6 +188,34 @@ class TestSubspace:
         with pytest.raises(ShapeError):
             subspace_sum(Subspace.full(2), Subspace.full(3))
 
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(0, 8),
+           st.integers(0, 12), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_span_cut_is_rank_nullspace_cut(self, seed, ambient, rank, copies,
+                                            noise):
+        # rank directions, each copied at norms from 1e-6 to 1e6 (one copy
+        # of each at 1e3 or more), among columns of pure round-off: the span
+        # keeps what rank_nullspace counts with atol = tol, which is the
+        # true rank, so that a span of round-off alone is {0}
+        rng = np.random.default_rng(seed)
+        rank = min(rank, ambient)
+        q = np.linalg.qr(random_complex(rng, ambient, ambient))[0][:, :rank]
+        owner = np.concatenate([np.arange(rank), rng.integers(rank, size=copies)
+                                if rank else np.zeros(0, int)])
+        exponent = np.where(np.arange(owner.size) < rank,
+                            rng.uniform(3, 6, owner.size), rng.uniform(-6, 6, owner.size))
+        phase = np.exp(2j * np.pi * rng.random(owner.size))
+        m = np.hstack([q[:, owner] * phase * 10.0 ** exponent,
+                       1e-16 * random_complex(rng, ambient, noise)])
+        tol = 1e-9
+        span = Subspace.from_spanning(m, ambient, tol)
+        assert span.dim == rank_nullspace(m, tol, atol=tol)[0] == rank
+        gram = span.basis.conj().T @ span.basis
+        assert np.max(np.abs(gram - np.eye(span.dim)), initial=0.0) <= 1e-12
+        permuted = Subspace.from_spanning(m[:, rng.permutation(m.shape[1])],
+                                          ambient, tol)
+        assert subspace_equal(permuted, span)
+
     @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_projector_idempotent(self, seed, ambient, nvec):

@@ -10,8 +10,8 @@ from amaldup.spectrum import (characters, characters_match,
                               duplication_spectrum, gelfand_semisimple,
                               multiplicativity_defect, tilde)
 
-from conftest import (conditioned, matrix_algebra, pointwise_algebra,
-                      scalar_algebra, zero_algebra)
+from conftest import (conditioned, group_algebra, matrix_algebra,
+                      pointwise_algebra, scalar_algebra, zero_algebra)
 
 
 def local_algebra_dim3():
@@ -32,17 +32,6 @@ def left_scalar_algebra(mu):
         for j in range(d):
             c[i, j, j] = mu[i]
     return FinDimAlgebra.from_mult(c)
-
-
-def group_algebra(elements, compose):
-    """C[G] on the basis of group elements."""
-    index = {g: k for k, g in enumerate(elements)}
-    m = len(elements)
-    c = np.zeros((m, m, m))
-    for g in elements:
-        for h in elements:
-            c[index[g], index[h], index[compose(g, h)]] = 1.0
-    return c
 
 
 def block_sum(c1, c2):
