@@ -1,12 +1,15 @@
 """Randomized verification of the structure theorems, at desk scale.
 
-Each audit draws seeded random validated triples and checks one claim:
-spectra assemble from the factors, semisimplicity and amenability
-transfer as stated, multiplier and derivation spaces match their
-block-system dimensions, and maximal ideals agree with a direction
-oracle.  A violation is shrunk and serialized into the returned row;
-since every claim is a theorem for valid inputs, any failure indicates
-an implementation bug rather than a mathematical discovery.
+Each audit checks one claim on seeded random triples, all read from one
+loop (:func:`_draws`): spectra assemble from the factors, semisimplicity
+and amenability transfer as stated, multiplier and derivation spaces
+match their block-system dimensions, and maximal ideals agree with a
+direction oracle.  ``random_triple`` validates each triple at the tol a
+duplication uses, so duplications are built with ``validate=False``.
+A violation is shrunk by re-running the check that found it (the
+transfer results (a)-(e) are one table, :data:`_TRANSFER_CLAIMS`) and
+serialized into the returned row; since every claim is a theorem for
+valid inputs, any failure indicates an implementation bug.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ import numpy as np
 
 from .algebra import FinDimAlgebra, duplicate, span_products, validate_algebra
 from .bundles import algebra_to_obj, bundle_from_triple, bundle_to_obj
-from .derivations import (cyclic_amenability, derivation_quadruple_space,
-                          derivation_space, decompose_derivation,
+from .derivations import (DerivationQuadruple, cyclic_amenability,
+                          cyclic_derivation_space, cyclic_quadruple_defects,
+                          cyclic_quadruple_space, decompose_derivation,
+                          derivation_quadruple_space, derivation_space,
                           inner_derivation, is_inner_match, property_h,
-                          weak_amenability)
+                          unital_form_check, weak_amenability)
 from .duals import (arens_products, duplication_nth_dual, essentiality,
                     nth_dual_bimodule, second_dual_duplication_defect,
                     topological_centres)
@@ -65,40 +70,44 @@ def _witness(a, f, act, recipe, note, shrink_with=None):
     return {"note": note, "bundle": bundle_to_obj(bundle)}
 
 
+def _draws(trials, seed, **flags):
+    """``trials`` triples ``random_triple(rng, **flags)`` from one seeded
+    generator, yielded with it so a family's extra draws interleave."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        yield (rng, *random_triple(rng, **flags))
+
+
+def _associativity_defect(a, f, act):
+    return validate_algebra(duplicate(a, f, act, validate=False)).associativity_defect
+
+
 def audit_associativity(trials: int = 200, seed: int = 0,
                         tol: float = IDENTITY_TOL) -> AuditRow:
     """Duplications of validated triples stay associative."""
-    rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
-
-    def violated(a, f, act):
-        rep = validate_algebra(duplicate(a, f, act, validate=False))
-        return rep.associativity_defect > tol
-
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
-        report = validate_algebra(duplicate(a, f, act))
-        worst = max(worst, report.associativity_defect)
-        if report.associativity_defect > tol:
-            failures.append(_witness(a, f, act, recipe, "associativity",
-                                     shrink_with=violated))
+    for _, a, f, act, recipe in _draws(trials, seed):
+        defect = _associativity_defect(a, f, act)
+        worst = max(worst, defect)
+        if defect > tol:
+            failures.append(_witness(
+                a, f, act, recipe, "associativity",
+                lambda *t: _associativity_defect(*t) > tol))
     return _row("duplication-associativity", trials, failures, worst)
 
 
 def audit_spectrum(trials: int = 100, seed: int = 0, tol: float = DEFAULT_TOL,
                    match_tol: float = 1e-7) -> list[AuditRow]:
     """Direct spectra match the assembled families; the families are disjoint."""
-    rng = np.random.default_rng(seed)
     union_failures, ss_failures = [], []
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng, commutative_symmetric=True)
+    for _, a, f, act, recipe in _draws(trials, seed, commutative_symmetric=True):
         try:
             duplication_spectrum(a, f, act, tol, match_tol=match_tol)
         except SpectrumTheoremViolation as exc:
             union_failures.append(_witness(a, f, act, recipe,
                                            f"spectrum: {exc}"))
             continue
-        dup = duplicate(a, f, act)
+        dup = duplicate(a, f, act, validate=False)
         transfer = (gelfand_semisimple(a, tol) and gelfand_semisimple(f, tol))
         if gelfand_semisimple(dup, tol) != transfer:
             ss_failures.append(_witness(a, f, act, recipe, "semisimplicity"))
@@ -109,11 +118,9 @@ def audit_spectrum(trials: int = 100, seed: int = 0, tol: float = DEFAULT_TOL,
 def audit_arens(trials: int = 50, seed: int = 0,
                 tol: float = IDENTITY_TOL) -> AuditRow:
     """Both extended products collapse; second duals assemble blockwise."""
-    rng = np.random.default_rng(seed)
     worst, failures = 0.0, []
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
-        dup = duplicate(a, f, act)
+    for _, a, f, act, recipe in _draws(trials, seed):
+        dup = duplicate(a, f, act, validate=False)
         defect = 0.0
         for alg in (a, f, dup):
             st = arens_products(alg)  # raises ArensDefect beyond IDENTITY_TOL
@@ -130,10 +137,8 @@ def audit_arens(trials: int = 50, seed: int = 0,
 def audit_centres(trials: int = 25, seed: int = 0,
                   tol: float = DEFAULT_TOL) -> AuditRow:
     """Centre product formula consistent; all centres full at desk scale."""
-    rng = np.random.default_rng(seed)
     failures = []
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
+    for _, a, f, act, recipe in _draws(trials, seed):
         try:
             cents = topological_centres(a, f, act, tol)
         except InternalInconsistency as exc:
@@ -147,12 +152,9 @@ def audit_centres(trials: int = 25, seed: int = 0,
 def audit_multipliers(trials: int = 100, seed: int = 0,
                       tol: float = DEFAULT_TOL) -> list[AuditRow]:
     """dim LM(dup) equals the block-system dimension; blocks reassemble."""
-    rng = np.random.default_rng(seed)
-    dim_failures, round_failures = [], []
-    worst = 0.0
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
-        dup = duplicate(a, f, act)
+    dim_failures, round_failures, worst = [], [], 0.0
+    for _, a, f, act, recipe in _draws(trials, seed):
+        dup = duplicate(a, f, act, validate=False)
         space = left_multiplier_space(dup, tol)
         blockwise = quadruple_space(a, f, act, tol)
         if space.dim != blockwise.dim:
@@ -174,12 +176,9 @@ def audit_multipliers(trials: int = 100, seed: int = 0,
 def audit_derivations(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
                       levels=(0, 1, 2)) -> list[AuditRow]:
     """dim Z1 equals the quadruple dimension; inner witnesses roundtrip."""
-    rng = np.random.default_rng(seed)
-    dim_failures, inner_failures = [], []
-    worst = 0.0
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
-        dup = duplicate(a, f, act)
+    dim_failures, inner_failures, worst = [], [], 0.0
+    for rng, a, f, act, recipe in _draws(trials, seed):
+        dup = duplicate(a, f, act, validate=False)
         # level n is level n - 2: each route solves each parity once
         dims = {p: (derivation_space(dup, nth_dual_bimodule(dup, p), tol).dim,
                     derivation_quadruple_space(a, f, act, p, tol).dim)
@@ -210,6 +209,57 @@ def audit_derivations(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
             _row("inner-witness-roundtrip", trials, inner_failures, worst)]
 
 
+class _Premises:
+    """One triple's transfer premises, each computed at most once.
+
+    Level n is level n - 2, so weak amenability is kept per (algebra,
+    parity); property H lives at the odd level 2n+1 for every n, so one
+    answer serves all.
+    """
+
+    def __init__(self, a, f, act, tol):
+        algs = {"A": a, "F": f, "dup": duplicate(a, f, act, validate=False)}
+        self.unital_a = a.unit is not None
+        self._weak = functools.cache(
+            lambda name, parity: weak_amenability(algs[name], parity, tol))
+        self.cyclic = functools.cache(lambda name: cyclic_amenability(algs[name], tol))
+        self.extends = functools.cache(lambda: property_h(a, f, act, 0, tol))
+        self.squares_full = lambda: span_products(a, "squares", tol=tol).dim == a.dim
+        self.essential = lambda: any(essentiality(a, f, act, 2, side, tol)
+                                     for side in ("algebra_left", "algebra_right"))
+
+    def weak(self, name, level):
+        return self._weak(name, level % 2)
+
+
+# The transfer results (a)-(e), each stated once as (row, note, drawn
+# with A unital?, predicate on _Premises that holds on a violation).  The
+# predicate that finds a violation also keeps it alive while it shrinks.
+_TRANSFER_CLAIMS = (
+    *(("transfer-odd-weak-to-F", f"(a) level {lv}", False,
+       lambda p, lv=lv: p.weak("dup", lv) and not p.weak("F", lv))
+      for lv in (1, 3)),
+    *(("transfer-odd-weak-to-A-with-extension", f"(b) level {lv}", False,
+       lambda p, lv=lv: p.weak("dup", lv) and p.extends()
+       and not p.weak("A", lv))
+      for lv in (1, 3)),
+    ("transfer-cyclic", "(c) sufficiency", False,
+     lambda p: p.cyclic("A") and p.cyclic("F") and p.squares_full()
+     and not p.cyclic("dup")),
+    ("transfer-cyclic", "(c) necessity for F", False,
+     lambda p: p.cyclic("dup") and not p.cyclic("F")),
+    ("transfer-cyclic", "(c) necessity for A", False,
+     lambda p: p.cyclic("dup") and p.extends() and not p.cyclic("A")),
+    *(("transfer-unital-iff", f"(d) level {n}", True,
+       lambda p, n=n: p.unital_a
+       and p.weak("dup", n) != (p.weak("A", n) and p.weak("F", n)))
+      for n in (0, 1, 2)),
+    ("transfer-odd-sufficiency", "(e) sufficiency", False,
+     lambda p: p.weak("A", 3) and p.weak("F", 3) and p.essential()
+     and not p.weak("dup", 3)),
+)
+
+
 def audit_transfers(trials: int = 100, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> list[AuditRow]:
     """Amenability transfer between the factors and the duplication.
@@ -218,112 +268,38 @@ def audit_transfers(trials: int = 100, seed: int = 0,
     (b) plus the extension property, for A as well;
     (c) cyclic amenability of both factors with full product span forces
         it for the duplication, and conversely the duplication's cyclic
-        amenability forces F's;
+        amenability forces F's (and A's, with the extension property);
     (d) with A unital, n-weak amenability of the duplication is
         equivalent to that of both factors (n <= 2);
     (e) both factors (2n+1)-weakly amenable plus dual essentiality
         forces the duplication (n = 1).
+
+    Claim (d) reads its own draws, seeded ``seed + 1`` with A unital.
     """
-    rng = np.random.default_rng(seed)
-    fail = {k: [] for k in "abcde"}
-
-    def v_a(level):
-        return lambda a, f, act: (
-            weak_amenability(duplicate(a, f, act, validate=False), level, tol)
-            and not weak_amenability(f, level, tol))
-
-    def v_b(level, n):
-        return lambda a, f, act: (
-            weak_amenability(duplicate(a, f, act, validate=False), level, tol)
-            and property_h(a, f, act, n, tol)
-            and not weak_amenability(a, level, tol))
-
-    def v_c(a, f, act):
-        dup = duplicate(a, f, act, validate=False)
-        return (cyclic_amenability(a, tol) and cyclic_amenability(f, tol)
-                and span_products(a, "squares", tol=tol).dim == a.dim
-                and not cyclic_amenability(dup, tol))
-
-    def v_d(level):
-        return lambda a, f, act: (
-            weak_amenability(duplicate(a, f, act, validate=False), level, tol)
-            != (weak_amenability(a, level, tol)
-                and weak_amenability(f, level, tol)))
-
-    def memo_weak():
-        """Per-trial weak_amenability, once per (algebra, level parity):
-        level n is level n - 2."""
-        memo = {}
-
-        def weak(alg, level):
-            key = (id(alg), level % 2)
-            if key not in memo:
-                memo[key] = weak_amenability(alg, level, tol)
-            return memo[key]
-        return weak
-
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
-        dup = duplicate(a, f, act)
-        weak = memo_weak()
-        # property H lives at level 2n+1, odd for every n: one answer serves all
-        extends = functools.cache(functools.partial(property_h, a, f, act, 0, tol))
-        for n in (0, 1):
-            level = 2 * n + 1
-            if weak(dup, level):
-                if not weak(f, level):
-                    fail["a"].append(_witness(a, f, act, recipe,
-                                              f"(a) level {level}", v_a(level)))
-                if extends() and not weak(a, level):
-                    fail["b"].append(_witness(a, f, act, recipe,
-                                              f"(b) level {level}",
-                                              v_b(level, n)))
-        ca, cf = cyclic_amenability(a, tol), cyclic_amenability(f, tol)
-        cdup = cyclic_amenability(dup, tol)
-        squares_full = span_products(a, "squares", tol=tol).dim == a.dim
-        if ca and cf and squares_full and not cdup:
-            fail["c"].append(_witness(a, f, act, recipe, "(c) sufficiency", v_c))
-        if cdup and not cf:
-            fail["c"].append(_witness(a, f, act, recipe, "(c) necessity for F"))
-        if cdup and extends() and not ca:
-            fail["c"].append(_witness(a, f, act, recipe, "(c) necessity for A"))
-        if weak(a, 3) and weak(f, 3) \
-                and (essentiality(a, f, act, 2, "algebra_left", tol)
-                     or essentiality(a, f, act, 2, "algebra_right", tol)) \
-                and not weak(dup, 3):
-            fail["e"].append(_witness(a, f, act, recipe, "(e) sufficiency"))
-    rng_u = np.random.default_rng(seed + 1)
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng_u, unital_a=True)
-        dup = duplicate(a, f, act)
-        weak = memo_weak()
-        for n in (0, 1, 2):
-            both = weak(a, n) and weak(f, n)
-            if weak(dup, n) != both:
-                fail["d"].append(_witness(a, f, act, recipe, f"(d) level {n}",
-                                          v_d(n)))
-    return [
-        _row("transfer-odd-weak-to-F", trials, fail["a"]),
-        _row("transfer-odd-weak-to-A-with-extension", trials, fail["b"]),
-        _row("transfer-cyclic", trials, fail["c"]),
-        _row("transfer-unital-iff", trials, fail["d"]),
-        _row("transfer-odd-sufficiency", trials, fail["e"]),
-    ]
+    fail = {row: [] for row, *_ in _TRANSFER_CLAIMS}
+    for unital in (False, True):
+        claims = [c for c in _TRANSFER_CLAIMS if c[2] == unital]
+        for _, a, f, act, recipe in _draws(trials, seed + unital, unital_a=unital):
+            premises = _Premises(a, f, act, tol)
+            for row, note, _, violated in claims:
+                if violated(premises):
+                    fail[row].append(_witness(
+                        a, f, act, recipe, note,
+                        lambda *t, v=violated: v(_Premises(*t, tol))))
+    return [_row(row, trials, failures) for row, failures in fail.items()]
 
 
 def audit_ideals(trials: int = 60, seed: int = 0,
                  tol: float = DEFAULT_TOL) -> list[AuditRow]:
     """Block criterion for product ideals; projection identities."""
-    rng = np.random.default_rng(seed)
     crit_failures, proj_failures = [], []
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
+    for rng, a, f, act, recipe in _draws(trials, seed):
         i_sub = random_left_ideal(rng, a, tol)
         j_sub = random_left_ideal(rng, f, tol)
         report = product_ideal_test(a, f, act, i_sub, j_sub, tol)
         if report.conjunction != report.direct:
             crit_failures.append(_witness(a, f, act, recipe, "block criterion"))
-        dup = duplicate(a, f, act)
+        dup = duplicate(a, f, act, validate=False)
         f_embedded = block_subspace(Subspace.zero(a.dim, tol),
                                     Subspace.full(f.dim, tol))
         seeds = [f_embedded.basis[:, c] for c in range(f_embedded.dim)]
@@ -348,13 +324,9 @@ def audit_cyclic_blocks(trials: int = 40, seed: int = 0,
     of the duplication and the constrained quadruple system, plus
     residual checks of the block identities on a direct basis.
     """
-    from .derivations import (cyclic_derivation_space, cyclic_quadruple_defects,
-                              cyclic_quadruple_space, DerivationQuadruple)
-    rng = np.random.default_rng(seed)
     failures = []
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
-        dup = duplicate(a, f, act)
+    for _, a, f, act, recipe in _draws(trials, seed):
+        dup = duplicate(a, f, act, validate=False)
         direct = cyclic_derivation_space(dup, tol)
         blockwise = cyclic_quadruple_space(a, f, act, tol)
         if direct.dim != blockwise.dim:
@@ -376,11 +348,8 @@ def audit_cyclic_blocks(trials: int = 40, seed: int = 0,
 def audit_unital_form(trials: int = 30, seed: int = 0,
                       tol: float = DEFAULT_TOL) -> AuditRow:
     """With A unital, every duplication derivation takes the stated form."""
-    from .derivations import unital_form_check
-    rng = np.random.default_rng(seed)
     failures = []
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng, unital_a=True)
+    for _, a, f, act, recipe in _draws(trials, seed, unital_a=True):
         # level n is level n - 2: each parity checked once
         reports = {p: unital_form_check(a, f, act, p, tol) for p in (0, 1)}
         for n in (0, 1, 2):
@@ -395,21 +364,16 @@ def audit_unital_form(trials: int = 30, seed: int = 0,
 def audit_splitting(trials: int = 60, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> AuditRow:
     """A x {0} is a two-sided ideal and {0} x F a subalgebra, always."""
-    rng = np.random.default_rng(seed)
     failures = []
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
-        dup = duplicate(a, f, act)
+    for _, a, f, act, recipe in _draws(trials, seed):
+        dup = duplicate(a, f, act, validate=False)
         a_block = block_subspace(Subspace.full(a.dim, tol), Subspace.zero(f.dim, tol))
         if not is_ideal(dup, a_block, "two_sided", tol):
             failures.append(_witness(a, f, act, recipe, "A-block not an ideal"))
             continue
         f_block = block_subspace(Subspace.zero(a.dim, tol), Subspace.full(f.dim, tol))
-        products = []
-        for i in range(f_block.dim):
-            for j in range(f_block.dim):
-                products.append(dup.multiply(f_block.basis[:, i],
-                                             f_block.basis[:, j]))
+        products = [dup.multiply(f_block.basis[:, i], f_block.basis[:, j])
+                    for i in range(f_block.dim) for j in range(f_block.dim)]
         if f_block.residual(products) > tol:
             failures.append(_witness(a, f, act, recipe, "F-block not closed"))
             continue
@@ -424,12 +388,9 @@ def audit_splitting(trials: int = 60, seed: int = 0,
 def audit_maximal_blocks(trials: int = 40, seed: int = 0,
                          tol: float = DEFAULT_TOL) -> AuditRow:
     """Maximality of block ideals reduces to the factors as characterized."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    checked = 0
-    for _ in range(trials):
-        a, f, act, recipe = random_triple(rng)
-        dup = duplicate(a, f, act)
+    failures, checked = [], 0
+    for rng, a, f, act, recipe in _draws(trials, seed):
+        dup = duplicate(a, f, act, validate=False)
         full_a = Subspace.full(a.dim, tol)
         full_f = Subspace.full(f.dim, tol)
         j_sub = random_left_ideal(rng, f, tol)
@@ -482,8 +443,7 @@ def audit_maximality(pool_count: int = 20, per_instance: int = 5,
     witness carries the algebra and the ideal's spanning vectors in the
     ``[re, im]`` format of ``amaldup ideals --subspace``.
     """
-    failures = []
-    checked = 0
+    failures, checked = [], 0
     rng = np.random.default_rng(seed)
     for idx, alg in enumerate(maximality_pool(pool_count, seed)):
         found = 0
@@ -491,9 +451,8 @@ def audit_maximality(pool_count: int = 20, per_instance: int = 5,
             if found >= per_instance:
                 break
             cand = random_left_ideal(rng, alg, tol)
-            if cand.dim > 2 or cand.dim >= alg.dim:
-                continue
-            if not is_ideal(alg, cand, "left", tol):
+            if cand.dim > 2 or cand.dim >= alg.dim \
+                    or not is_ideal(alg, cand, "left", tol):
                 continue
             found += 1
             checked += 1

@@ -28,7 +28,7 @@ from .ideals import is_ideal, product_ideal_test, project_components
 from .linalg import DEFAULT_TOL, IDENTITY_TOL, Subspace
 from .multipliers import (corollary_form_check, left_multiplier_space,
                           quadruple_space)
-from .spectrum import duplication_spectrum
+from .spectrum import duplication_spectrum, gelfand_semisimple
 
 
 def main(argv=None) -> int:
@@ -164,10 +164,11 @@ def cmd_spectrum(args):
     e_list, f_list, sigma = duplication_spectrum(
         bundle.algebra_a, bundle.algebra_f, bundle.action, args.tol)
     rows = [_row("character-count", "info", value=len(sigma))]
+    match = 10 * args.tol  # the tolerance duplication_spectrum matched at
     for k, chi in enumerate(sigma):
-        if any(np.max(np.abs(chi - e)) <= 1e-6 for e in e_list):
+        if any(np.max(np.abs(chi - e)) <= match for e in e_list):
             family = "A-lifted"
-        elif any(np.max(np.abs(chi - f)) <= 1e-6 for f in f_list):
+        elif any(np.max(np.abs(chi - f)) <= match for f in f_list):
             family = "F-lifted"
         else:
             family = "unmatched"
@@ -181,7 +182,6 @@ def cmd_spectrum(args):
 
 
 def cmd_semisimple(args):
-    from .spectrum import gelfand_semisimple
     bundle = _load(args)
     a, f = bundle.algebra_a, bundle.algebra_f
     dup = duplicate(a, f, bundle.action, args.tol)

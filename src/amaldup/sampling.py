@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import (BimoduleAction, FinDimAlgebra, direct_sum,
                       homomorphism_action, validate_action, validate_algebra)
-from .linalg import DEFAULT_TOL, Subspace
+from .linalg import DEFAULT_TOL, Subspace, rank_nullspace, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,6 @@ def _draw_action(a_core: Core, f_core: Core, rng, symmetric: bool, mode: int):
 def random_left_ideal(rng: np.random.Generator, alg: FinDimAlgebra,
                       tol: float = DEFAULT_TOL) -> Subspace:
     """Ideal-biased subspace draw: images and kernels of right multiplications."""
-    from .linalg import rank_nullspace, subspace_sum
     n = alg.dim
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     if rng.integers(2):

@@ -13,6 +13,10 @@ from amaldup.sampling import random_triple
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "block_route_cli.json")
+# (id, status, value) of every row of `check-paper --trials 10 --seed 0`;
+# defects are left out, being BLAS-dependent floats
+CHECK_PAPER_ROWS = os.path.join(os.path.dirname(__file__), "golden",
+                                "check_paper_rows.json")
 
 # The commands whose answers come from the block identities, keyed as in
 # the golden file.
@@ -155,6 +159,62 @@ class TestCli:
         second = run_command(args)
         assert first == second
 
+    def test_check_paper_rows_match_golden(self):
+        # pins which triples each family sees and the row order, which a
+        # second run of the same code cannot catch
+        code, report = run_command(["check-paper", "--trials", "10",
+                                    "--seed", "0", "--format", "json"])
+        assert code == 0
+        rows = [{k: r[k] for k in ("id", "status", "value")}
+                for r in json.loads(report)["results"]]
+        with open(CHECK_PAPER_ROWS, encoding="utf-8") as fh:
+            assert rows == json.load(fh)
+
+    def test_check_paper_witness_parts_load(self, tmp_path, monkeypatch):
+        # a failing maximality row carries an algebra and a subspace, not a
+        # bundle; both come inline in the JSON and load back in the CLI
+        from amaldup import audit
+        from amaldup.bundles import algebra_to_obj, parse_algebra
+        from amaldup.cli import _load_subspace
+        from amaldup.linalg import Subspace, subspace_equal
+        from conftest import pointwise_algebra
+
+        alg = pointwise_algebra(3)
+        cand = Subspace.from_spanning([np.array([1.0, 1j, 0.0])], 3)
+        vectors = np.stack([cand.basis.T.real, cand.basis.T.imag], -1)
+        row = audit.AuditRow("maximality-burnside-vs-oracle", "fail", 1, 0.0, {
+            "note": "pool 0 ideal dim 1: burnside True oracle False",
+            "algebra": algebra_to_obj(alg),
+            "subspace": {"vectors": vectors.tolist()}})
+        monkeypatch.setattr(audit, "run_full_audit", lambda *args: [row])
+        code, report = run_command(["check-paper", "--trials", "1",
+                                    "--format", "json"])
+        assert code == 1
+        (result,) = json.loads(report)["results"]
+        witness = result["witness"]
+        assert set(witness) == {"note", "algebra", "subspace"}
+        back = parse_algebra(witness["algebra"])
+        assert np.array_equal(back.mult, alg.mult)
+        sub = tmp_path / "subspace.json"
+        sub.write_text(json.dumps(witness["subspace"]))
+        loaded = _load_subspace(str(sub), 3, 1e-9)
+        assert subspace_equal(loaded, cand)
+
+    def test_spectrum_tags_at_the_matching_tolerance(self, monkeypatch):
+        # a character within 10 * tol of its lift is tagged by that lift,
+        # the tolerance duplication_spectrum matched the lists at
+        from amaldup import cli
+        e = np.array([1.0, 0.5 + 0j])
+        f = np.array([0.0, 1.0 + 0j])
+        monkeypatch.setattr(cli, "duplication_spectrum", lambda *args: (
+            [e], [f], [e + 5e-6, f]))
+        code, report = run_command(["spectrum", fixture_path("lau_unital"),
+                                    "--tol", "1e-6", "--format", "json"])
+        assert code == 0
+        rows = {r["id"]: r["value"] for r in json.loads(report)["results"]}
+        assert rows["character[0]"]["family"] == "A-lifted"
+        assert rows["character[1]"]["family"] == "F-lifted"
+
     def test_cyclic_reports_obstruction(self):
         code, report = run_command(["cyclic", fixture_path("zero_pair"),
                                     "--format", "json"])
@@ -243,39 +303,37 @@ class TestShrinker:
         assert sa.dim == a.dim
 
 
-class TestRunAuditScript:
-    def test_witness_dir_writes_every_part(self, tmp_path, monkeypatch, capsys):
-        # a failing maximality row carries an algebra and a subspace, not a
-        # bundle; both are written, and the subspace reads back in the CLI
-        import importlib.util
+class TestAudit:
+    def test_transfer_violation_shrinks(self, monkeypatch):
+        # only the duplication (whose labels carry the A:/F: prefixes) is
+        # cyclically amenable, so (c) necessity for F fails; only the
+        # factors are weakly amenable, so (e) fails where A is essential,
+        # and (d) fails too, whose witness must keep its premise, A unital
+        # (neither (c) necessity nor (e) had a shrinker before)
         from amaldup import audit
-        from amaldup.bundles import algebra_to_obj, parse_algebra
-        from amaldup.cli import _load_subspace
-        from amaldup.linalg import Subspace, subspace_equal
-        from conftest import pointwise_algebra
+        from amaldup.linalg import DEFAULT_TOL
 
-        alg = pointwise_algebra(3)
-        cand = Subspace.from_spanning([np.array([1.0, 1j, 0.0])], 3)
-        vectors = np.stack([cand.basis.T.real, cand.basis.T.imag], -1)
-        row = audit.AuditRow("maximality-burnside-vs-oracle", "fail", 1, 0.0, {
-            "note": "pool 0 ideal dim 1: burnside True oracle False",
-            "algebra": algebra_to_obj(alg),
-            "subspace": {"vectors": vectors.tolist()}})
-        monkeypatch.setattr(audit, "run_full_audit", lambda *args: [row])
-        script = os.path.join(os.path.dirname(__file__), os.pardir,
-                              "scripts", "run_audit.py")
-        spec = importlib.util.spec_from_file_location("run_audit", script)
-        run_audit = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run_audit)
-        monkeypatch.setattr("sys.argv", ["run_audit.py", "--trials", "1",
-                                         "--witness-dir", str(tmp_path)])
-        assert run_audit.main() == 1
-        stem = tmp_path / "maximality-burnside-vs-oracle-seed0"
-        written = {p.name for p in tmp_path.iterdir()}
-        assert written == {f"{stem.name}-algebra.json", f"{stem.name}-subspace.json"}
-        back = parse_algebra(json.loads(stem.with_name(
-            f"{stem.name}-algebra.json").read_text()))
-        assert np.array_equal(back.mult, alg.mult)
-        loaded = _load_subspace(f"{stem}-subspace.json", 3, 1e-9)
-        assert subspace_equal(loaded, cand)
-        assert "witness written to" in capsys.readouterr().out
+        is_dup = lambda alg: alg.labels[0].startswith("A:")
+        monkeypatch.setattr(audit, "cyclic_amenability",
+                            lambda alg, tol: is_dup(alg))
+        monkeypatch.setattr(audit, "weak_amenability",
+                            lambda alg, n, tol: not is_dup(alg))
+        rows = {r.id: r for r in audit.audit_transfers(trials=10, seed=0)}
+        witnesses = {}
+        for row_id, note in (("transfer-cyclic", "(c) necessity for F"),
+                             ("transfer-unital-iff", "(d) level 0"),
+                             ("transfer-odd-sufficiency", "(e) sufficiency")):
+            row = rows[row_id]
+            assert not row.passed
+            assert row.witness["note"] == note
+            bundle = parse_bundle(json.dumps(row.witness["bundle"]))
+            witnesses[note] = (bundle.algebra_a, bundle.algebra_f, bundle.action)
+        a, f, act = witnesses["(c) necessity for F"]
+        assert a.dim == f.dim == 1
+        assert not (np.any(a.mult) or np.any(f.mult)
+                    or np.any(act.left) or np.any(act.right))
+        assert witnesses["(d) level 0"][0].unit is not None
+        claims = {note: violated
+                  for _, note, _, violated in audit._TRANSFER_CLAIMS}
+        for note, triple in witnesses.items():
+            assert claims[note](audit._Premises(*triple, DEFAULT_TOL))
