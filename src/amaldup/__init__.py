@@ -13,10 +13,11 @@ on duals with their topological centres, derivation spaces with first
 randomized audit of all of it.
 """
 
-from .algebra import (BimoduleAction, FinDimAlgebra, canonical_construction,
-                      direct_sum, duplicate, homomorphism_action, join_element,
-                      l1_norm, lau_action, natural_action, span_products,
-                      validate_action, validate_algebra)
+from .algebra import (BimoduleAction, Duplication, FinDimAlgebra,
+                      canonical_construction, direct_sum, duplicate,
+                      homomorphism_action, join_element, l1_norm, lau_action,
+                      natural_action, span_products, validate_action,
+                      validate_algebra)
 from .bundles import (AlgebraBundle, bundle_from_triple, parse_bundle,
                       serialize_bundle)
 from .derivations import (CohomologyReport, DerivationQuadruple, cohomology,

@@ -18,6 +18,7 @@ validators below report the worst defect of each identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,19 +30,27 @@ from .linalg import DEFAULT_TOL, Subspace, as_cvector, solve_affine
 
 @dataclass(frozen=True)
 class FinDimAlgebra:
-    """An algebra over C given by basis labels and a multiplication tensor."""
+    """An algebra over C given by basis labels and a multiplication tensor.
+
+    The unit is solved for at ``unit_tol`` on first read of :attr:`unit`.
+    """
 
     mult: np.ndarray = field(repr=False)
     labels: tuple[str, ...]
-    unit: np.ndarray | None = field(default=None, repr=False)
+    unit_tol: float = field(default=DEFAULT_TOL, repr=False)
 
     @property
     def dim(self) -> int:
         return self.mult.shape[0]
 
-    @staticmethod
-    def from_mult(mult, labels=None, detect_unit: bool = True,
-                  tol: float = DEFAULT_TOL) -> "FinDimAlgebra":
+    @functools.cached_property
+    def unit(self) -> np.ndarray | None:
+        """The two-sided unit, or None when the algebra has none."""
+        return _detect_unit(self.mult, self.unit_tol)
+
+    @classmethod
+    def from_mult(cls, mult, labels=None, tol: float = DEFAULT_TOL, **parts):
+        """Checked construction; ``parts`` are the fields a subclass adds."""
         mult = np.asarray(mult, dtype=complex)
         if mult.ndim != 3 or len(set(mult.shape)) != 1:
             raise ShapeError(f"multiplication tensor must be cubic, got {mult.shape}")
@@ -54,8 +63,7 @@ class FinDimAlgebra:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ShapeError(f"{len(labels)} labels for dimension {n}")
-        unit = _detect_unit(mult, tol) if detect_unit else None
-        return FinDimAlgebra(mult, labels, unit)
+        return cls(mult, labels, tol, **parts)
 
     def multiply(self, x, y) -> np.ndarray:
         x = as_cvector(x, self.dim)
@@ -112,6 +120,16 @@ class BimoduleAction:
     def is_symmetric(self, tol: float = DEFAULT_TOL) -> bool:
         return float(np.max(np.abs(self.left - self.right.transpose(1, 0, 2)),
                             initial=0.0)) <= tol
+
+
+@dataclass(frozen=True, kw_only=True)
+class Duplication(FinDimAlgebra):
+    """The duplication of ``f`` along ``a``: the assembled algebra (A's
+    basis, then F's) together with the triple it was assembled from."""
+
+    a: FinDimAlgebra = field(repr=False)
+    f: FinDimAlgebra = field(repr=False)
+    act: BimoduleAction = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -195,8 +213,9 @@ def validate_action(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
 
 
 def duplicate(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-              tol: float = DEFAULT_TOL, validate: bool = True) -> FinDimAlgebra:
-    """The amalgamated duplication of ``f`` along ``a``.
+              tol: float = DEFAULT_TOL, validate: bool = True) -> Duplication:
+    """The amalgamated duplication of ``f`` along ``a``, as a record that
+    the functions on duplications take instead of rebuilding it.
 
     Basis is A's basis followed by F's, labels prefixed ``A:`` / ``F:``.
     Raises :class:`IncompatibleAction` when a validator fails.
@@ -219,7 +238,7 @@ def duplicate(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     c[da:, :da, :da] = act.left
     c[da:, da:, da:] = f.mult
     labels = tuple(f"A:{s}" for s in a.labels) + tuple(f"F:{s}" for s in f.labels)
-    return FinDimAlgebra.from_mult(c, labels, tol=tol)
+    return Duplication.from_mult(c, labels, tol, a=a, f=f, act=act)
 
 
 def join_element(x, beta) -> np.ndarray:

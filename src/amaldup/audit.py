@@ -1,11 +1,16 @@
 """Randomized verification of the structure theorems, at desk scale.
 
-Each audit checks one claim on seeded random triples, all read from one
-loop (:func:`_draws`): spectra assemble from the factors, semisimplicity
-and amenability transfer as stated, multiplier and derivation spaces
-match their block-system dimensions, and maximal ideals agree with a
-direction oracle.  ``random_triple`` validates each triple at the tol a
-duplication uses, so duplications are built with ``validate=False``.
+Each audit checks one claim on seeded random triples: spectra assemble
+from the factors, semisimplicity and amenability transfer as stated,
+multiplier and derivation spaces match their block-system dimensions,
+and maximal ideals agree with a direction oracle.  ``random_triple``
+validates each triple at the tol a duplication uses, and :func:`_draw`
+assembles it once, unvalidated and read-only, into the
+:class:`~amaldup.algebra.Duplication` its checks share.  Within one
+:func:`run_full_audit` call, families that draw nothing but triples
+read one list per (seed, flags) stream (:func:`_shared_draws`); those
+that draw ideals or witnesses in between keep a generator of their own
+(:func:`_draws`), so every family sees the triples it sees run alone.
 A violation is shrunk by re-running the check that found it (the
 transfer results (a)-(e) are one table, :data:`_TRANSFER_CLAIMS`) and
 serialized into the returned row; since every claim is a theorem for
@@ -14,6 +19,7 @@ valid inputs, any failure indicates an implementation bug.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 from dataclasses import dataclass, field
 
@@ -40,7 +46,7 @@ from .multipliers import (decompose_multiplier, left_multiplier_space,
 from .sampling import (COMMUTATIVE_CORES, NONCOMMUTATIVE_CORES,
                        random_left_ideal, random_triple, random_unitary,
                        shrink_triple, _transform_core)
-from .spectrum import duplication_spectrum, gelfand_semisimple
+from .spectrum import duplication_spectrum, separates_points
 
 
 @dataclass(frozen=True)
@@ -62,55 +68,93 @@ def _row(check_id, trials, failures, defect=0.0):
     return AuditRow(check_id, "pass", trials, defect)
 
 
-def _witness(a, f, act, recipe, note, shrink_with=None):
+def _witness(dup, recipe, note, shrink_with=None):
+    """``dup``'s triple as a bundle, shrunk while ``shrink_with(dup)`` holds."""
+    a, f, act = dup.a, dup.f, dup.act
     if shrink_with is not None:
-        a, f, act, recipe = shrink_triple(a, f, act, recipe, shrink_with)
+        a, f, act, recipe = shrink_triple(
+            a, f, act, recipe,
+            lambda *t: shrink_with(duplicate(*t, validate=False)))
     bundle = bundle_from_triple(a, f, act, name=f"violation:{note}",
                                 recipe=str(recipe))
     return {"note": note, "bundle": bundle_to_obj(bundle)}
 
 
-def _draws(trials, seed, **flags):
-    """``trials`` triples ``random_triple(rng, **flags)`` from one seeded
-    generator, yielded with it so a family's extra draws interleave."""
+def _draw(rng, **flags):
+    """``(dup, recipe)`` of one ``random_triple(rng, **flags)``, assembled
+    once and read-only, so no check can change what the next one reads."""
+    a, f, act, recipe = random_triple(rng, **flags)
+    dup = duplicate(a, f, act, validate=False)
+    for arr in (a.mult, f.mult, act.left, act.right, dup.mult):
+        arr.setflags(write=False)
+    return dup, recipe
+
+
+def _draws(trials, seed):
+    """``trials`` draws from one seeded generator, yielded with it as
+    ``(rng, dup, recipe)`` so a family's extra draws interleave."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        yield (rng, *random_triple(rng, **flags))
+        yield (rng, *_draw(rng))
 
 
-def _associativity_defect(a, f, act):
-    return validate_algebra(duplicate(a, f, act, validate=False)).associativity_defect
+# (seed, flags) -> (generator, draws so far), set for one run_full_audit call.
+_STREAMS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "audit_streams", default=None)
+
+
+def _shared_draws(trials, seed, commutative_symmetric=False, unital_a=False):
+    """The first ``trials`` ``(dup, recipe)`` draws of ``default_rng(seed)``.
+
+    Inside :func:`run_full_audit` the list of each stream is kept and only
+    grown, so families reading the same stream share its triples; outside
+    it every call draws afresh.  Only for families that draw nothing else.
+    """
+    streams = _STREAMS.get()
+    if streams is None:
+        streams = {}
+    rng, drawn = streams.setdefault((seed, commutative_symmetric, unital_a),
+                                    (np.random.default_rng(seed), []))
+    while len(drawn) < trials:
+        drawn.append(_draw(rng, commutative_symmetric=commutative_symmetric,
+                           unital_a=unital_a))
+    return drawn[:trials]
 
 
 def audit_associativity(trials: int = 200, seed: int = 0,
                         tol: float = IDENTITY_TOL) -> AuditRow:
     """Duplications of validated triples stay associative."""
     worst, failures = 0.0, []
-    for _, a, f, act, recipe in _draws(trials, seed):
-        defect = _associativity_defect(a, f, act)
+    for dup, recipe in _shared_draws(trials, seed):
+        defect = validate_algebra(dup).associativity_defect
         worst = max(worst, defect)
         if defect > tol:
             failures.append(_witness(
-                a, f, act, recipe, "associativity",
-                lambda *t: _associativity_defect(*t) > tol))
+                dup, recipe, "associativity",
+                lambda d: validate_algebra(d).associativity_defect > tol))
     return _row("duplication-associativity", trials, failures, worst)
 
 
 def audit_spectrum(trials: int = 100, seed: int = 0, tol: float = DEFAULT_TOL,
                    match_tol: float = 1e-7) -> list[AuditRow]:
-    """Direct spectra match the assembled families; the families are disjoint."""
+    """Direct spectra match the assembled families; the families are disjoint.
+
+    Semisimplicity of A, F and the duplication is read from the three
+    character lists the spectrum check has already found.
+    """
     union_failures, ss_failures = [], []
-    for _, a, f, act, recipe in _draws(trials, seed, commutative_symmetric=True):
+    for dup, recipe in _shared_draws(trials, seed, commutative_symmetric=True):
         try:
-            duplication_spectrum(a, f, act, tol, match_tol=match_tol)
+            e_list, f_list, sigma = duplication_spectrum(dup, tol,
+                                                         match_tol=match_tol)
         except SpectrumTheoremViolation as exc:
-            union_failures.append(_witness(a, f, act, recipe,
-                                           f"spectrum: {exc}"))
+            union_failures.append(_witness(dup, recipe, f"spectrum: {exc}"))
             continue
-        dup = duplicate(a, f, act, validate=False)
-        transfer = (gelfand_semisimple(a, tol) and gelfand_semisimple(f, tol))
-        if gelfand_semisimple(dup, tol) != transfer:
-            ss_failures.append(_witness(a, f, act, recipe, "semisimplicity"))
+        da = dup.a.dim
+        transfer = (separates_points([e[:da] for e in e_list], tol)
+                    and separates_points([x[da:] for x in f_list], tol))
+        if separates_points(sigma, tol) != transfer:
+            ss_failures.append(_witness(dup, recipe, "semisimplicity"))
     return [_row("spectrum-union-and-disjoint", trials, union_failures),
             _row("semisimplicity-transfer", trials, ss_failures)]
 
@@ -119,18 +163,17 @@ def audit_arens(trials: int = 50, seed: int = 0,
                 tol: float = IDENTITY_TOL) -> AuditRow:
     """Both extended products collapse; second duals assemble blockwise."""
     worst, failures = 0.0, []
-    for _, a, f, act, recipe in _draws(trials, seed):
-        dup = duplicate(a, f, act, validate=False)
+    for dup, recipe in _shared_draws(trials, seed):
         defect = 0.0
-        for alg in (a, f, dup):
+        for alg in (dup.a, dup.f, dup):
             st = arens_products(alg)  # raises ArensDefect beyond IDENTITY_TOL
             defect = max(defect,
                          float(np.max(np.abs(st.first - alg.mult))),
                          float(np.max(np.abs(st.second - alg.mult))))
-        defect = max(defect, second_dual_duplication_defect(a, f, act))
+        defect = max(defect, second_dual_duplication_defect(dup))
         worst = max(worst, defect)
         if defect > tol:
-            failures.append(_witness(a, f, act, recipe, "arens"))
+            failures.append(_witness(dup, recipe, "arens"))
     return _row("arens-collapse-and-second-dual", trials, failures, worst)
 
 
@@ -138,14 +181,14 @@ def audit_centres(trials: int = 25, seed: int = 0,
                   tol: float = DEFAULT_TOL) -> AuditRow:
     """Centre product formula consistent; all centres full at desk scale."""
     failures = []
-    for _, a, f, act, recipe in _draws(trials, seed):
+    for dup, recipe in _shared_draws(trials, seed):
         try:
-            cents = topological_centres(a, f, act, tol)
+            cents = topological_centres(dup, tol)
         except InternalInconsistency as exc:
-            failures.append(_witness(a, f, act, recipe, f"centres: {exc}"))
+            failures.append(_witness(dup, recipe, f"centres: {exc}"))
             continue
         if any(s.dim != s.ambient_dim for s in cents.values()):
-            failures.append(_witness(a, f, act, recipe, "centre not full"))
+            failures.append(_witness(dup, recipe, "centre not full"))
     return _row("topological-centre-formula", trials, failures)
 
 
@@ -153,22 +196,20 @@ def audit_multipliers(trials: int = 100, seed: int = 0,
                       tol: float = DEFAULT_TOL) -> list[AuditRow]:
     """dim LM(dup) equals the block-system dimension; blocks reassemble."""
     dim_failures, round_failures, worst = [], [], 0.0
-    for _, a, f, act, recipe in _draws(trials, seed):
-        dup = duplicate(a, f, act, validate=False)
+    for dup, recipe in _shared_draws(trials, seed):
         space = left_multiplier_space(dup, tol)
-        blockwise = quadruple_space(a, f, act, tol)
+        blockwise = quadruple_space(dup.a, dup.f, dup.act, tol)
         if space.dim != blockwise.dim:
             dim_failures.append(_witness(
-                a, f, act, recipe,
-                f"dim LM {space.dim} vs quadruples {blockwise.dim}"))
+                dup, recipe, f"dim LM {space.dim} vs quadruples {blockwise.dim}"))
             continue
-        for col in range(space.dim):
-            t_op = space.basis[:, col].reshape(dup.dim, dup.dim)
-            q = decompose_multiplier(a, f, act, t_op, tol)
-            gap = float(np.max(np.abs(q.assemble() - t_op)))
-            worst = max(worst, gap)
-            if gap > IDENTITY_TOL:
-                round_failures.append(_witness(a, f, act, recipe, "roundtrip"))
+        # every basis operator at once, against one statement of the identities
+        t_ops = space.basis.T.reshape(-1, dup.dim, dup.dim)
+        q = decompose_multiplier(dup.a, dup.f, dup.act, t_ops, tol)
+        gap = float(np.max(np.abs(q.assemble() - t_ops), initial=0.0))
+        worst = max(worst, gap)
+        if gap > IDENTITY_TOL:
+            round_failures.append(_witness(dup, recipe, "roundtrip"))
     return [_row("multiplier-dimension", trials, dim_failures),
             _row("multiplier-roundtrip", trials, round_failures, worst)]
 
@@ -177,8 +218,8 @@ def audit_derivations(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
                       levels=(0, 1, 2)) -> list[AuditRow]:
     """dim Z1 equals the quadruple dimension; inner witnesses roundtrip."""
     dim_failures, inner_failures, worst = [], [], 0.0
-    for rng, a, f, act, recipe in _draws(trials, seed):
-        dup = duplicate(a, f, act, validate=False)
+    for rng, dup, recipe in _draws(trials, seed):
+        a, f, act = dup.a, dup.f, dup.act
         # level n is level n - 2: each route solves each parity once
         dims = {p: (derivation_space(dup, nth_dual_bimodule(dup, p), tol).dim,
                     derivation_quadruple_space(a, f, act, p, tol).dim)
@@ -187,23 +228,23 @@ def audit_derivations(trials: int = 50, seed: int = 0, tol: float = DEFAULT_TOL,
             direct, blockwise = dims[n % 2]
             if direct != blockwise:
                 dim_failures.append(_witness(
-                    a, f, act, recipe,
+                    dup, recipe,
                     f"level {n}: Z1 {direct} vs quadruples {blockwise}"))
                 continue
-            bim = duplication_nth_dual(a, f, act, n)
+            bim = duplication_nth_dual(dup, n)
             w = rng.standard_normal(dup.dim) + 1j * rng.standard_normal(dup.dim)
             d = inner_derivation(bim, w)
             q = decompose_derivation(a, f, act, d, n, tol)
             witness = is_inner_match(a, f, act, q, tol)
             if witness is None:
-                inner_failures.append(_witness(a, f, act, recipe,
+                inner_failures.append(_witness(dup, recipe,
                                                f"level {n}: ad not matched"))
                 continue
             recovered = inner_derivation(bim, np.concatenate(witness))
             gap = float(np.max(np.abs(recovered - d)))
             worst = max(worst, gap)
             if gap > 1e-9:
-                inner_failures.append(_witness(a, f, act, recipe,
+                inner_failures.append(_witness(dup, recipe,
                                                f"level {n}: witness gap {gap:.3g}"))
     return [_row("derivation-dimension", trials, dim_failures),
             _row("inner-witness-roundtrip", trials, inner_failures, worst)]
@@ -217,8 +258,9 @@ class _Premises:
     answer serves all.
     """
 
-    def __init__(self, a, f, act, tol):
-        algs = {"A": a, "F": f, "dup": duplicate(a, f, act, validate=False)}
+    def __init__(self, dup, tol):
+        a, f, act = dup.a, dup.f, dup.act
+        algs = {"A": a, "F": f, "dup": dup}
         self.unital_a = a.unit is not None
         self._weak = functools.cache(
             lambda name, parity: weak_amenability(algs[name], parity, tol))
@@ -279,13 +321,13 @@ def audit_transfers(trials: int = 100, seed: int = 0,
     fail = {row: [] for row, *_ in _TRANSFER_CLAIMS}
     for unital in (False, True):
         claims = [c for c in _TRANSFER_CLAIMS if c[2] == unital]
-        for _, a, f, act, recipe in _draws(trials, seed + unital, unital_a=unital):
-            premises = _Premises(a, f, act, tol)
+        for dup, recipe in _shared_draws(trials, seed + unital, unital_a=unital):
+            premises = _Premises(dup, tol)
             for row, note, _, violated in claims:
                 if violated(premises):
                     fail[row].append(_witness(
-                        a, f, act, recipe, note,
-                        lambda *t, v=violated: v(_Premises(*t, tol))))
+                        dup, recipe, note,
+                        lambda d, v=violated: v(_Premises(d, tol))))
     return [_row(row, trials, failures) for row, failures in fail.items()]
 
 
@@ -293,13 +335,13 @@ def audit_ideals(trials: int = 60, seed: int = 0,
                  tol: float = DEFAULT_TOL) -> list[AuditRow]:
     """Block criterion for product ideals; projection identities."""
     crit_failures, proj_failures = [], []
-    for rng, a, f, act, recipe in _draws(trials, seed):
+    for rng, dup, recipe in _draws(trials, seed):
+        a, f = dup.a, dup.f
         i_sub = random_left_ideal(rng, a, tol)
         j_sub = random_left_ideal(rng, f, tol)
-        report = product_ideal_test(a, f, act, i_sub, j_sub, tol)
+        report = product_ideal_test(dup, i_sub, j_sub, tol)
         if report.conjunction != report.direct:
-            crit_failures.append(_witness(a, f, act, recipe, "block criterion"))
-        dup = duplicate(a, f, act, validate=False)
+            crit_failures.append(_witness(dup, recipe, "block criterion"))
         f_embedded = block_subspace(Subspace.zero(a.dim, tol),
                                     Subspace.full(f.dim, tol))
         seeds = [f_embedded.basis[:, c] for c in range(f_embedded.dim)]
@@ -311,7 +353,7 @@ def audit_ideals(trials: int = 60, seed: int = 0,
         if not (is_ideal(a, i_n, "left", tol)
                 and subspace_equal(n_sub, block_subspace(
                     i_n, Subspace.full(f.dim, tol)), 10 * tol)):
-            proj_failures.append(_witness(a, f, act, recipe, "projection"))
+            proj_failures.append(_witness(dup, recipe, "projection"))
     return [_row("ideal-block-criterion", trials, crit_failures),
             _row("ideal-projection-identity", trials, proj_failures)]
 
@@ -325,23 +367,23 @@ def audit_cyclic_blocks(trials: int = 40, seed: int = 0,
     residual checks of the block identities on a direct basis.
     """
     failures = []
-    for _, a, f, act, recipe in _draws(trials, seed):
-        dup = duplicate(a, f, act, validate=False)
+    for dup, recipe in _shared_draws(trials, seed):
+        a, f, act = dup.a, dup.f, dup.act
         direct = cyclic_derivation_space(dup, tol)
         blockwise = cyclic_quadruple_space(a, f, act, tol)
         if direct.dim != blockwise.dim:
             failures.append(_witness(
-                a, f, act, recipe,
-                f"cyclic dims {direct.dim} vs {blockwise.dim}"))
+                dup, recipe, f"cyclic dims {direct.dim} vs {blockwise.dim}"))
             continue
-        for col in range(direct.dim):
-            d = direct.basis[:, col].reshape(dup.dim, dup.dim)
-            q = DerivationQuadruple.split(a.dim, d, 1)
-            worst = max(cyclic_quadruple_defects(a, f, act, q).values())
-            if worst > 100 * tol:
-                failures.append(_witness(a, f, act, recipe,
-                                         f"cyclic identity defect {worst:.3g}"))
-                break
+        # every basis derivation at once, against one statement of the identities
+        q = DerivationQuadruple.split(
+            a.dim, direct.basis.T.reshape(-1, dup.dim, dup.dim), 1)
+        worst = np.max(list(cyclic_quadruple_defects(a, f, act, q).values()),
+                       axis=0)
+        bad = np.flatnonzero(worst > 100 * tol)
+        if bad.size:
+            failures.append(_witness(
+                dup, recipe, f"cyclic identity defect {worst[bad[0]]:.3g}"))
     return _row("cyclic-block-characterization", trials, failures)
 
 
@@ -349,14 +391,14 @@ def audit_unital_form(trials: int = 30, seed: int = 0,
                       tol: float = DEFAULT_TOL) -> AuditRow:
     """With A unital, every duplication derivation takes the stated form."""
     failures = []
-    for _, a, f, act, recipe in _draws(trials, seed, unital_a=True):
+    for dup, recipe in _shared_draws(trials, seed, unital_a=True):
         # level n is level n - 2: each parity checked once
-        reports = {p: unital_form_check(a, f, act, p, tol) for p in (0, 1)}
+        reports = {p: unital_form_check(dup, p, tol) for p in (0, 1)}
         for n in (0, 1, 2):
             rep = reports[n % 2]
             if not rep.passed:
                 failures.append(_witness(
-                    a, f, act, recipe,
+                    dup, recipe,
                     f"level {n} defect {rep.max_defect:.3g}"))
     return _row("unital-derivation-form", trials, failures)
 
@@ -365,23 +407,23 @@ def audit_splitting(trials: int = 60, seed: int = 0,
                     tol: float = DEFAULT_TOL) -> AuditRow:
     """A x {0} is a two-sided ideal and {0} x F a subalgebra, always."""
     failures = []
-    for _, a, f, act, recipe in _draws(trials, seed):
-        dup = duplicate(a, f, act, validate=False)
+    for dup, recipe in _shared_draws(trials, seed):
+        a, f = dup.a, dup.f
         a_block = block_subspace(Subspace.full(a.dim, tol), Subspace.zero(f.dim, tol))
         if not is_ideal(dup, a_block, "two_sided", tol):
-            failures.append(_witness(a, f, act, recipe, "A-block not an ideal"))
+            failures.append(_witness(dup, recipe, "A-block not an ideal"))
             continue
         f_block = block_subspace(Subspace.zero(a.dim, tol), Subspace.full(f.dim, tol))
         products = [dup.multiply(f_block.basis[:, i], f_block.basis[:, j])
                     for i in range(f_block.dim) for j in range(f_block.dim)]
         if f_block.residual(products) > tol:
-            failures.append(_witness(a, f, act, recipe, "F-block not closed"))
+            failures.append(_witness(dup, recipe, "F-block not closed"))
             continue
         # the quotient by the A-block multiplies exactly like F
         da = a.dim
         if float(np.max(np.abs(dup.mult[da:, da:, da:] - f.mult))) > tol \
                 or float(np.max(np.abs(dup.mult[da:, da:, :da]))) > tol:
-            failures.append(_witness(a, f, act, recipe, "quotient tensor"))
+            failures.append(_witness(dup, recipe, "quotient tensor"))
     return _row("splitting-extension", trials, failures)
 
 
@@ -389,8 +431,8 @@ def audit_maximal_blocks(trials: int = 40, seed: int = 0,
                          tol: float = DEFAULT_TOL) -> AuditRow:
     """Maximality of block ideals reduces to the factors as characterized."""
     failures, checked = [], 0
-    for rng, a, f, act, recipe in _draws(trials, seed):
-        dup = duplicate(a, f, act, validate=False)
+    for rng, dup, recipe in _draws(trials, seed):
+        a, f = dup.a, dup.f
         full_a = Subspace.full(a.dim, tol)
         full_f = Subspace.full(f.dim, tol)
         j_sub = random_left_ideal(rng, f, tol)
@@ -399,7 +441,7 @@ def audit_maximal_blocks(trials: int = 40, seed: int = 0,
             lhs = is_maximal_left_ideal(f, j_sub, tol)
             rhs = is_maximal_left_ideal(dup, block_subspace(full_a, j_sub), tol)
             if lhs != rhs:
-                failures.append(_witness(a, f, act, recipe, "A x J maximality"))
+                failures.append(_witness(dup, recipe, "A x J maximality"))
         i_sub = random_left_ideal(rng, a, tol)
         block = block_subspace(i_sub, full_f)
         if i_sub.dim < a.dim and is_ideal(dup, block, "left", tol):
@@ -407,7 +449,7 @@ def audit_maximal_blocks(trials: int = 40, seed: int = 0,
             lhs = is_maximal_left_ideal(a, i_sub, tol)
             rhs = is_maximal_left_ideal(dup, block, tol)
             if lhs != rhs:
-                failures.append(_witness(a, f, act, recipe, "I x F maximality"))
+                failures.append(_witness(dup, recipe, "I x F maximality"))
         j2 = random_left_ideal(rng, f, tol)
         block = block_subspace(i_sub, j2)
         if block.dim < dup.dim and is_ideal(dup, block, "left", tol) \
@@ -418,8 +460,7 @@ def audit_maximal_blocks(trials: int = 40, seed: int = 0,
             second = j2.dim == f.dim and i_sub.dim < a.dim \
                 and is_maximal_left_ideal(a, i_sub, tol)
             if not (first or second):
-                failures.append(_witness(a, f, act, recipe,
-                                         "maximal I x J shape"))
+                failures.append(_witness(dup, recipe, "maximal I x J shape"))
     return _row("ideal-maximal-blocks", checked, failures)
 
 
@@ -469,17 +510,22 @@ def audit_maximality(pool_count: int = 20, per_instance: int = 5,
 
 def run_full_audit(trials: int = 40, seed: int = 0,
                    tol: float = DEFAULT_TOL) -> list[AuditRow]:
-    rows = [audit_associativity(trials, seed)]
-    rows += audit_spectrum(trials, seed, tol)
-    rows.append(audit_arens(max(10, trials // 2), seed))
-    rows.append(audit_centres(max(10, trials // 2), seed, tol))
-    rows += audit_multipliers(trials, seed, tol)
-    rows += audit_derivations(max(10, trials // 2), seed, tol)
-    rows += audit_transfers(trials, seed, tol)
-    rows.append(audit_cyclic_blocks(max(10, trials // 2), seed, tol))
-    rows.append(audit_unital_form(max(10, trials // 3), seed, tol))
-    rows += audit_ideals(trials, seed, tol)
-    rows.append(audit_splitting(trials, seed, tol))
-    rows.append(audit_maximal_blocks(trials, seed, tol))
-    rows.append(audit_maximality(10, 3, seed, tol))
-    return rows
+    """Every family in turn; the shared draws live for this call only."""
+    token = _STREAMS.set({})
+    try:
+        rows = [audit_associativity(trials, seed)]
+        rows += audit_spectrum(trials, seed, tol)
+        rows.append(audit_arens(max(10, trials // 2), seed))
+        rows.append(audit_centres(max(10, trials // 2), seed, tol))
+        rows += audit_multipliers(trials, seed, tol)
+        rows += audit_derivations(max(10, trials // 2), seed, tol)
+        rows += audit_transfers(trials, seed, tol)
+        rows.append(audit_cyclic_blocks(max(10, trials // 2), seed, tol))
+        rows.append(audit_unital_form(max(10, trials // 3), seed, tol))
+        rows += audit_ideals(trials, seed, tol)
+        rows.append(audit_splitting(trials, seed, tol))
+        rows.append(audit_maximal_blocks(trials, seed, tol))
+        rows.append(audit_maximality(10, 3, seed, tol))
+        return rows
+    finally:
+        _STREAMS.reset(token)

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import audit as audit_mod
-from .algebra import duplicate, span_products, validate_action, validate_algebra
+from .algebra import (Duplication, duplicate, span_products, validate_action,
+                      validate_algebra)
 from .bundles import AlgebraBundle, algebra_to_obj, parse_bundle
 from .derivations import (cohomology, cyclic_cohomology,
                           derivation_quadruple_space, derivation_space,
@@ -122,6 +123,17 @@ def _load(args) -> AlgebraBundle:
         return parse_bundle(fh.read())
 
 
+def _load_duplication(args) -> Duplication:
+    """The bundle's duplication, validated: the command's one validation."""
+    bundle = _load(args)
+    return duplicate(bundle.algebra_a, bundle.algebra_f, bundle.action, args.tol)
+
+
+def _tagged(dup: Duplication):
+    """The command's three algebras, each with its row tag."""
+    return (("a", dup.a), ("f", dup.f), ("duplication", dup))
+
+
 def _thresh(defect, tol):
     return "pass" if defect <= tol else "fail"
 
@@ -153,16 +165,13 @@ def cmd_validate(args):
 
 
 def cmd_duplicate(args):
-    bundle = _load(args)
-    dup = duplicate(bundle.algebra_a, bundle.algebra_f, bundle.action, args.tol)
+    dup = _load_duplication(args)
     return [_row("duplication", "pass",
                  value=json.dumps(algebra_to_obj(dup), indent=2))]
 
 
 def cmd_spectrum(args):
-    bundle = _load(args)
-    e_list, f_list, sigma = duplication_spectrum(
-        bundle.algebra_a, bundle.algebra_f, bundle.action, args.tol)
+    e_list, f_list, sigma = duplication_spectrum(_load_duplication(args), args.tol)
     rows = [_row("character-count", "info", value=len(sigma))]
     match = 10 * args.tol  # the tolerance duplication_spectrum matched at
     for k, chi in enumerate(sigma):
@@ -182,12 +191,9 @@ def cmd_spectrum(args):
 
 
 def cmd_semisimple(args):
-    bundle = _load(args)
-    a, f = bundle.algebra_a, bundle.algebra_f
-    dup = duplicate(a, f, bundle.action, args.tol)
     rows = []
     flags = {}
-    for tag, alg in (("a", a), ("f", f), ("duplication", dup)):
+    for tag, alg in _tagged(_load_duplication(args)):
         if not alg.is_commutative(args.tol):
             rows.append(_row(f"semisimple-{tag}", "info",
                              value="not commutative; skipped"))
@@ -211,18 +217,16 @@ def _load_subspace(path, ambient, tol) -> Subspace:
 
 
 def cmd_ideals(args):
-    bundle = _load(args)
-    a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
-    dup = duplicate(a, f, act, args.tol)
+    dup = _load_duplication(args)
     sub = _load_subspace(args.subspace, dup.dim, args.tol)
     rows = [_row("subspace-dim", "info", value=sub.dim)]
     for side in ("left", "right", "two_sided"):
         rows.append(_row(f"is-{side.replace('_', '-')}-ideal", "info",
                          value=is_ideal(dup, sub, side, args.tol)))
-    i_n, j_n = project_components(a.dim, f.dim, sub)
+    i_n, j_n = project_components(dup.a.dim, dup.f.dim, sub)
     rows.append(_row("projection-dims", "info",
                      value={"onto-A": i_n.dim, "onto-F": j_n.dim}))
-    report = product_ideal_test(a, f, act, i_n, j_n, args.tol)
+    report = product_ideal_test(dup, i_n, j_n, args.tol)
     rows.append(_row("block-criterion", "info", value=vars(report)))
     agree = report.conjunction == report.direct
     rows.append(_row("block-criterion-consistent", "pass" if agree else "fail"))
@@ -230,15 +234,13 @@ def cmd_ideals(args):
 
 
 def cmd_multipliers(args):
-    bundle = _load(args)
-    a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
-    dup = duplicate(a, f, act, args.tol)
+    dup = _load_duplication(args)
     direct = left_multiplier_space(dup, args.tol).dim
-    blockwise = quadruple_space(a, f, act, args.tol).dim
+    blockwise = quadruple_space(dup.a, dup.f, dup.act, args.tol).dim
     rows = [_row("dim-left-multipliers", "info", value=direct),
             _row("dim-block-system", "info", value=blockwise),
             _row("dimensions-agree", "pass" if direct == blockwise else "fail")]
-    rep = corollary_form_check(a, f, act, args.tol)
+    rep = corollary_form_check(dup, args.tol)
     rows.append(_row("span-hypothesis", "info", value=rep.hypothesis_held))
     if rep.hypothesis_held:
         rows.append(_row("simplified-form", "pass" if rep.conclusion_verified
@@ -247,25 +249,21 @@ def cmd_multipliers(args):
 
 
 def cmd_arens(args):
-    bundle = _load(args)
-    a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
-    dup = duplicate(a, f, act, args.tol)
+    dup = _load_duplication(args)
     rows = []
-    for tag, alg in (("a", a), ("f", f), ("duplication", dup)):
+    for tag, alg in _tagged(dup):
         st = arens_products(alg)
         defect = max(float(np.max(np.abs(st.first - alg.mult))),
                      float(np.max(np.abs(st.second - alg.mult))))
         rows.append(_row(f"extended-products-collapse-{tag}",
                          _thresh(defect, IDENTITY_TOL), defect))
-    iso = second_dual_duplication_defect(a, f, act)
+    iso = second_dual_duplication_defect(dup)
     rows.append(_row("second-dual-duplication", _thresh(iso, IDENTITY_TOL), iso))
     return rows
 
 
 def cmd_centres(args):
-    bundle = _load(args)
-    cents = topological_centres(bundle.algebra_a, bundle.algebra_f,
-                                bundle.action, args.tol)
+    cents = topological_centres(_load_duplication(args), args.tol)
     rows = [_row(f"centre-{name}", "info",
                  value={"dim": s.dim, "ambient": s.ambient_dim})
             for name, s in cents.items()]
@@ -276,18 +274,15 @@ def cmd_centres(args):
 
 
 def cmd_derivations(args):
-    bundle = _load(args)
-    a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
-    dup = duplicate(a, f, act, args.tol)
+    dup = _load_duplication(args)
     n = args.level
-    reports = {tag: cohomology(alg, n, tol=args.tol)
-               for tag, alg in (("a", a), ("f", f), ("duplication", dup))}
+    reports = {tag: cohomology(alg, n, tol=args.tol) for tag, alg in _tagged(dup)}
     rows = []
     for tag, rep in reports.items():
         rows.append(_row(f"cohomology-{tag}", "info",
                          value={"Z1": rep.dim_z1, "B1": rep.dim_b1,
                                 "H1": rep.dim_h1}))
-    blockwise = derivation_quadruple_space(a, f, act, n, args.tol).dim
+    blockwise = derivation_quadruple_space(dup.a, dup.f, dup.act, n, args.tol).dim
     direct = reports["duplication"].dim_z1
     rows.append(_row("block-system-dim", "info", value=blockwise))
     rows.append(_row("dimensions-agree",
@@ -296,11 +291,8 @@ def cmd_derivations(args):
 
 
 def cmd_cyclic(args):
-    bundle = _load(args)
-    a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
-    dup = duplicate(a, f, act, args.tol)
     rows = []
-    for tag, alg in (("a", a), ("f", f), ("duplication", dup)):
+    for tag, alg in _tagged(_load_duplication(args)):
         z1c, h1c = cyclic_cohomology(alg, args.tol)
         rows.append(_row(f"cyclic-{tag}", "info",
                          value={"Z1_cyclic": z1c, "H1_cyclic": h1c,
@@ -317,10 +309,9 @@ def cmd_property_h(args):
 
 
 def cmd_amenability(args):
-    bundle = _load(args)
-    a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
-    dup = duplicate(a, f, act, args.tol)
-    algebras = {"a": a, "f": f, "duplication": dup}
+    dup = _load_duplication(args)
+    a, f, act = dup.a, dup.f, dup.act
+    algebras = dict(_tagged(dup))
     # one report per (algebra, parity), since level n is level n - 2; the
     # odd one is level 1, which also carries the cyclic rows
     reports = {(tag, p): cohomology(alg, p, tol=args.tol)
@@ -341,10 +332,7 @@ def cmd_amenability(args):
 
 
 def cmd_check(args):
-    rows = []
-    if args.bundle:
-        bundle = _load(args)
-        rows.extend(_bundle_checks(bundle, args.tol))
+    rows = _bundle_checks(_load_duplication(args), args.tol) if args.bundle else []
     for res in audit_mod.run_full_audit(args.trials, args.seed, args.tol):
         rows.append(_row(res.id, res.status, res.defect,
                          value=f"{res.trials} trials",
@@ -352,16 +340,15 @@ def cmd_check(args):
     return rows
 
 
-def _bundle_checks(bundle: AlgebraBundle, tol: float):
-    a, f, act = bundle.algebra_a, bundle.algebra_f, bundle.action
+def _bundle_checks(dup: Duplication, tol: float):
+    a, f, act = dup.a, dup.f, dup.act
     rows = []
-    dup = duplicate(a, f, act, tol)
     rep = validate_algebra(dup, tol)
     rows.append(_row("bundle-duplication-associative",
                      _thresh(rep.associativity_defect, tol),
                      rep.associativity_defect))
     try:
-        duplication_spectrum(a, f, act, tol)
+        duplication_spectrum(dup, tol)
         rows.append(_row("bundle-spectrum-assembles", "pass"))
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         rows.append(_row("bundle-spectrum-assembles", "fail", value=str(exc)))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BimoduleAction, FinDimAlgebra, duplicate
+from .algebra import BimoduleAction, Duplication, FinDimAlgebra
 from .duals import (D1A, D1F, D2A, D2F, L, R, BlockIdentity, BlockLayout,
                     BlockQuadruple, DualActionBlocks, DualBimodule,
                     TransposedSum, block_nullspace, block_residuals,
@@ -181,8 +181,8 @@ class DerivationQuadruple(BlockQuadruple):
 
     @staticmethod
     def split(a_dim: int, d: np.ndarray, level: int) -> "DerivationQuadruple":
-        return DerivationQuadruple(*BlockLayout(a_dim, len(d) - a_dim).split(d),
-                                   level)
+        return DerivationQuadruple(
+            *BlockLayout(a_dim, d.shape[-1] - a_dim).split(d), level)
 
 
 def derivation_identities(a: FinDimAlgebra, f: FinDimAlgebra,
@@ -233,20 +233,13 @@ CYCLIC_IDENTITIES = (TransposedSum("d1a_antisymmetric", D1A, D1A),
                      TransposedSum("cross_blocks_balance", D1F, D2A))
 
 
-def quadruple_condition_defects(a: FinDimAlgebra, f: FinDimAlgebra,
-                                act: BimoduleAction, q: DerivationQuadruple
-                                ) -> dict[str, float]:
-    """Residuals of every identity characterizing derivation quadruples."""
-    return block_residuals(derivation_identities(a, f, act, q.level), q.blocks)
-
-
 def decompose_derivation(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
                          d: np.ndarray, n: int, tol: float = DEFAULT_TOL
                          ) -> DerivationQuadruple:
     """Blocks of a derivation into the level-n dual, identities verified."""
     d = np.asarray(d, dtype=complex)
     q = DerivationQuadruple.split(a.dim, d, n)
-    defects = quadruple_condition_defects(a, f, act, q)
+    defects = block_residuals(derivation_identities(a, f, act, n), q.blocks)
     worst = max(defects.values()) if defects else 0.0
     scale = max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
     if worst > 10 * tol * scale:
@@ -333,9 +326,8 @@ class AugmentedDerivationReport:
     inner_witness: np.ndarray | None
 
 
-def corollary_dt_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                       t_block: np.ndarray, n: int, tol: float = DEFAULT_TOL
-                       ) -> AugmentedDerivationReport:
+def corollary_dt_check(dup: Duplication, t_block: np.ndarray, n: int,
+                       tol: float = DEFAULT_TOL) -> AugmentedDerivationReport:
     """Checks that ``(a, b) -> (0, T(a))`` derives, and whether it is inner.
 
     ``t_block`` maps A into the level-n dual of F (n odd); it must be a
@@ -346,6 +338,7 @@ def corollary_dt_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     """
     if n % 2 == 0:
         raise ValueError("this construction lives at odd dual levels")
+    a, f, act = dup.a, dup.f, dup.act
     t_block = np.asarray(t_block, dtype=complex)
     f_left = duplication_dual_blocks(a, f, act, n).f_left
     da, df = a.dim, f.dim
@@ -360,8 +353,7 @@ def corollary_dt_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
             f"(defects {mod_defect:.3g}, {prod_defect:.3g})")
     q = DerivationQuadruple(np.zeros((da, da)), np.zeros((da, df)),
                             t_block, np.zeros((df, df)), n)
-    dup = duplicate(a, f, act, validate=False)
-    defect = derivation_defect(dup.mult, duplication_nth_dual(a, f, act, n),
+    defect = derivation_defect(dup.mult, duplication_nth_dual(dup, n),
                                q.assemble())
     witness = is_inner_match(a, f, act, q, tol)
     return AugmentedDerivationReport(defect <= 10 * tol, defect,
@@ -392,10 +384,11 @@ class UnitalFormReport:
     passed: bool
 
 
-def unital_form_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                      n: int, tol: float = DEFAULT_TOL) -> UnitalFormReport:
+def unital_form_check(dup: Duplication, n: int,
+                      tol: float = DEFAULT_TOL) -> UnitalFormReport:
     """With A unital, the off-diagonal blocks are determined by D1A (odd n)
     or vanish against D2F corrections (even n); verified on a Z1 basis."""
+    a, f, act = dup.a, dup.f, dup.act
     if a.unit is None:
         raise UnitRequired("first factor has no unit")
     e = a.unit
@@ -420,13 +413,10 @@ def unital_form_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
             BlockIdentity("d1f_left_unit", D1A, dot_e,
                           ((L, D1F, eye_a), (L, D2F, mix_l))),
             BlockIdentity("d2a_vanishes", D2A, eye_a)]
-    dup = duplicate(a, f, act, validate=False)
-    space = derivation_space(dup, duplication_nth_dual(a, f, act, n), tol)
-    layout = BlockLayout(a.dim, f.dim)
-    worst = 0.0
-    for col in range(space.dim):
-        d = space.basis[:, col].reshape(dup.dim, dup.dim)
-        worst = max(worst, *block_residuals(identities, layout.split(d)).values())
+    space = derivation_space(dup, duplication_nth_dual(dup, n), tol)
+    basis = space.basis.T.reshape(-1, dup.dim, dup.dim)
+    residuals = block_residuals(identities, BlockLayout(a.dim, f.dim).split(basis))
+    worst = float(np.max(list(residuals.values()), initial=0.0))
     return UnitalFormReport(n, space.dim, worst, worst <= 100 * tol)
 
 

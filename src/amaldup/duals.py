@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import BimoduleAction, FinDimAlgebra, duplicate
+from .algebra import BimoduleAction, Duplication, FinDimAlgebra, duplicate
 from .errors import ArensDefect, InternalInconsistency
 from .linalg import (DEFAULT_TOL, IDENTITY_TOL, Subspace, as_cvector,
                      rank_nullspace, subspace_equal, subspace_intersect)
@@ -112,8 +112,7 @@ def arens_products(alg: FinDimAlgebra, tol: float = IDENTITY_TOL) -> ArensStruct
     return ArensStructure(first, second)
 
 
-def arens_action_extensions(a: FinDimAlgebra, f: FinDimAlgebra,
-                            act: BimoduleAction,
+def arens_action_extensions(dup: Duplication,
                             tol: float = IDENTITY_TOL) -> ArensStructure:
     """Extended products together with both extended actions on second duals.
 
@@ -122,31 +121,28 @@ def arens_action_extensions(a: FinDimAlgebra, f: FinDimAlgebra,
     second-convention ones likewise.  All four are computed by literal
     triple adjoints and verified to collapse onto the original tensors.
     """
-    base = arens_products(duplicate(a, f, act, validate=False), tol)
+    act = dup.act
+    base = arens_products(dup, tol)
     bullet = BimoduleAction(
         first_adjoint(first_adjoint(first_adjoint(act.left))),
         first_adjoint(first_adjoint(first_adjoint(act.right))))
     black = BimoduleAction(
         second_adjoint(second_adjoint(second_adjoint(act.left))),
         second_adjoint(second_adjoint(second_adjoint(act.right))))
-    defect = max(
-        float(np.max(np.abs(bullet.left - act.left))) if act.left.size else 0.0,
-        float(np.max(np.abs(bullet.right - act.right))) if act.right.size else 0.0,
-        float(np.max(np.abs(black.left - act.left))) if act.left.size else 0.0,
-        float(np.max(np.abs(black.right - act.right))) if act.right.size else 0.0)
+    defect = max(float(np.max(np.abs(ext - orig), initial=0.0))
+                 for ext, orig in ((bullet.left, act.left), (bullet.right, act.right),
+                                   (black.left, act.left), (black.right, act.right)))
     if defect > tol:
         raise ArensDefect(f"extended actions differ from the originals by {defect:.3g}")
     return ArensStructure(base.first, base.second, bullet, black)
 
 
-def second_dual_duplication_defect(a: FinDimAlgebra, f: FinDimAlgebra,
-                                   act: BimoduleAction) -> float:
+def second_dual_duplication_defect(dup: Duplication) -> float:
     """Gap between the dup's extended product and the dup of the extensions."""
-    dup = duplicate(a, f, act, validate=False)
     direct = arens_products(dup).first
-    ext = arens_action_extensions(a, f, act)
-    a2 = FinDimAlgebra.from_mult(arens_products(a).first, a.labels, detect_unit=False)
-    f2 = FinDimAlgebra.from_mult(arens_products(f).first, f.labels, detect_unit=False)
+    ext = arens_action_extensions(dup)
+    a2 = FinDimAlgebra.from_mult(arens_products(dup.a).first, dup.a.labels)
+    f2 = FinDimAlgebra.from_mult(arens_products(dup.f).first, dup.f.labels)
     assembled = duplicate(a2, f2, ext.bullet, validate=False)
     return float(np.max(np.abs(direct - assembled.mult)))
 
@@ -234,15 +230,16 @@ def assemble_duplication_dual(blocks: DualActionBlocks) -> DualBimodule:
     return DualBimodule(blocks.level, left, right)
 
 
-def duplication_nth_dual(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                         n: int, tol: float = IDENTITY_TOL) -> DualBimodule:
+def duplication_nth_dual(dup: Duplication, n: int,
+                         tol: float = IDENTITY_TOL) -> DualBimodule:
     """Level-n dual bimodule of the duplication, built blockwise.
 
     Cross-checked against the generic transpose recursion applied to the
     assembled duplication; a mismatch raises InternalInconsistency.
     """
-    assembled = assemble_duplication_dual(duplication_dual_blocks(a, f, act, n))
-    generic = nth_dual_bimodule(duplicate(a, f, act, validate=False), n)
+    assembled = assemble_duplication_dual(
+        duplication_dual_blocks(dup.a, dup.f, dup.act, n))
+    generic = nth_dual_bimodule(dup, n)
     defect = max(float(np.max(np.abs(assembled.left_ops - generic.left_ops))),
                  float(np.max(np.abs(assembled.right_ops - generic.right_ops))))
     if defect > tol:
@@ -302,9 +299,11 @@ class BlockLayout:
         return np.cumsum([0] + [self.size(s) for s in range(4)])
 
     def split(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The four blocks of an operator on the duplication."""
+        """The four blocks of an operator on the duplication (or of each
+        operator of a stack, along the leading axes)."""
         da = self.a_dim
-        return op[:da, :da], op[:da, da:], op[da:, :da], op[da:, da:]
+        return (op[..., :da, :da], op[..., :da, da:],
+                op[..., da:, :da], op[..., da:, da:])
 
     def blocks(self, coords) -> tuple[np.ndarray, ...]:
         """The four blocks with the given vec coordinates."""
@@ -349,12 +348,13 @@ class BlockIdentity(NamedTuple):
         return max(float(np.max(np.abs(arr), initial=0.0))
                    for arr in (self.tensor, *(ops for _, _, ops in self.terms)))
 
-    def residual(self, blocks) -> float:
-        r = np.einsum("xym,km->xyk", self.tensor, blocks[self.slot])
+    def residual(self, blocks):
+        """Max-abs residual; blocks with leading axes give one per index."""
+        r = np.einsum("xym,...km->...xyk", self.tensor, blocks[self.slot])
         for side, t, ops in self.terms:
-            spec = "xkm,my->xyk" if side == L else "ykm,mx->xyk"
+            spec = "xkm,...my->...xyk" if side == L else "ykm,...mx->...xyk"
             r = r - np.einsum(spec, ops, blocks[t])
-        return float(np.max(np.abs(r))) if r.size else 0.0
+        return np.max(np.abs(r), axis=(-3, -2, -1), initial=0.0)
 
     def coefficients(self, layout: BlockLayout) -> dict[int, np.ndarray]:
         """This identity's rows, split by the slots whose columns they touch."""
@@ -383,9 +383,9 @@ class TransposedSum(NamedTuple):
     def scale(self) -> float:
         return 1.0
 
-    def residual(self, blocks) -> float:
-        r = blocks[self.slot] + blocks[self.other].T
-        return float(np.max(np.abs(r))) if r.size else 0.0
+    def residual(self, blocks):
+        r = blocks[self.slot] + np.swapaxes(blocks[self.other], -1, -2)
+        return np.max(np.abs(r), axis=(-2, -1), initial=0.0)
 
     def coefficients(self, layout: BlockLayout) -> dict[int, np.ndarray]:
         p, q = layout.shape(self.slot)
@@ -395,8 +395,9 @@ class TransposedSum(NamedTuple):
         return cols
 
 
-def block_residuals(identities, blocks) -> dict[str, float]:
-    """Max-abs residual of each identity on the blocks of a quadruple."""
+def block_residuals(identities, blocks) -> dict:
+    """Max-abs residual of each identity on the blocks of a quadruple, or
+    per quadruple of a stack whose blocks carry leading axes."""
     return {ident.name: ident.residual(blocks) for ident in identities}
 
 
@@ -464,7 +465,7 @@ def _centre_of_difference(diff: np.ndarray, over: str,
     return null
 
 
-def topological_centres(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
+def topological_centres(dup: Duplication,
                         tol: float = DEFAULT_TOL) -> dict[str, Subspace]:
     """All five centres, plus a consistency check of the product formula.
 
@@ -473,16 +474,15 @@ def topological_centres(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     coincide, so every centre is full and the check validates that the
     assembled formulas agree, not any genuine irregularity.
     """
-    dup = duplicate(a, f, act, validate=False)
-    ext = arens_action_extensions(a, f, act)
+    ext = arens_action_extensions(dup)
 
     def centre(alg: FinDimAlgebra) -> Subspace:
         st = arens_products(alg)
         return _centre_of_difference(st.first - st.second, "first", tol)
 
     zt_dup = centre(dup)
-    zt_a = centre(a)
-    zt_f = centre(f)
+    zt_a = centre(dup.a)
+    zt_f = centre(dup.f)
     z_f_on_a = _centre_of_difference(ext.bullet.right - ext.blacktriangle.right,
                                      "first", tol)
     z_a_on_f = _centre_of_difference(ext.bullet.left - ext.blacktriangle.left,

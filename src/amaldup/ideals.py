@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BimoduleAction, FinDimAlgebra, duplicate
+from .algebra import BimoduleAction, Duplication, FinDimAlgebra
 from .errors import NotAProperIdeal, ShapeError
 from .linalg import DEFAULT_TOL, Subspace, rank_nullspace
 
@@ -96,8 +96,7 @@ def project_components(a_dim: int, f_dim: int,
     return i_n, j_n
 
 
-def product_ideal_test(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                       i_sub: Subspace, j_sub: Subspace,
+def product_ideal_test(dup: Duplication, i_sub: Subspace, j_sub: Subspace,
                        tol: float = DEFAULT_TOL) -> ProductIdealReport:
     """Blockwise criterion for ``I x J`` being a left ideal, vs the direct test.
 
@@ -105,6 +104,7 @@ def product_ideal_test(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     left F-submodule, and A . J inside I.  Their conjunction must agree
     with testing I x J directly on the duplication.
     """
+    a, f, act = dup.a, dup.f, dup.act
     i_left = is_ideal(a, i_sub, "left", tol)
     j_left = is_ideal(f, j_sub, "left", tol)
     i_mod = submodule_defect(act, i_sub, "left") <= tol
@@ -115,8 +115,7 @@ def product_ideal_test(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
         for e in np.eye(a.dim):
             vectors.append(act.right_act(e, beta))
     aj_inside = i_sub.residual(vectors) <= tol if vectors else True
-    direct = is_ideal(duplicate(a, f, act, validate=False),
-                      block_subspace(i_sub, j_sub), "left", tol)
+    direct = is_ideal(dup, block_subspace(i_sub, j_sub), "left", tol)
     return ProductIdealReport(i_left, j_left, i_mod, aj_inside, direct)
 
 

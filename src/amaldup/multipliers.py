@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BimoduleAction, FinDimAlgebra, duplicate, span_products
+from .algebra import BimoduleAction, Duplication, FinDimAlgebra, span_products
 from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
                     BlockQuadruple, DualActionBlocks, algebra_bimodule,
                     block_nullspace, block_residuals)
@@ -95,27 +95,27 @@ def multiplier_identities(a: FinDimAlgebra, f: FinDimAlgebra,
         BlockIdentity("t2f_left_multiplier", D2F, cf, ((L, D2F, b.f_left),))]
 
 
-def quadruple_defects(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                      q: MultiplierQuadruple) -> dict[str, float]:
-    """Residuals of every block identity a multiplier quadruple satisfies."""
-    return block_residuals(multiplier_identities(a, f, act), q.blocks)
-
-
 def decompose_multiplier(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
                          t_op: np.ndarray, tol: float = DEFAULT_TOL
                          ) -> MultiplierQuadruple:
-    """Blocks of a left multiplier of the duplication, identities verified."""
+    """Blocks of a left multiplier of the duplication, identities verified.
+
+    ``t_op`` may be a stack of operators along a leading axis: the
+    identities are then stated once and each operator is held to its own
+    bound ``10 tol max(1, max|T|)``.
+    """
     da, df = a.dim, f.dim
     t_op = np.asarray(t_op, dtype=complex)
-    if t_op.shape != (da + df, da + df):
+    if t_op.shape[-2:] != (da + df, da + df) or t_op.ndim > 3:
         raise ShapeError("operator does not act on the duplication")
     q = MultiplierQuadruple(*BlockLayout(da, df).split(t_op))
-    defects = quadruple_defects(a, f, act, q)
-    worst = max(defects.values())
-    if worst > 10 * tol * max(1.0, float(np.max(np.abs(t_op)))):
-        bad = max(defects, key=defects.get)
-        raise DecompositionDefect(
-            f"multiplier block identity {bad!r} fails with defect {worst:.3g}")
+    defects = block_residuals(multiplier_identities(a, f, act), q.blocks)
+    worst = np.max(list(defects.values()), axis=0)
+    scale = np.max(np.abs(t_op), axis=(-2, -1), initial=0.0)
+    if np.any(worst > 10 * tol * np.maximum(1.0, scale)):
+        bad = max(defects, key=lambda name: np.max(defects[name]))
+        raise DecompositionDefect(f"multiplier block identity {bad!r} fails "
+                                  f"with defect {np.max(worst):.3g}")
     return q
 
 
@@ -124,7 +124,7 @@ def quadruple_space(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     """Solution space of the block-constrained multiplier system.
 
     Unknowns are (vec T1A, vec T1F, vec T2A, vec T2F); the constraints are
-    exactly the identities reported by :func:`quadruple_defects`, so the
+    exactly the identities :func:`decompose_multiplier` checks, so the
     dimension must equal ``dim LM`` of the duplication.
     """
     return block_nullspace(multiplier_identities(a, f, act),
@@ -137,7 +137,7 @@ class CorollaryReport:
     conclusion_verified: bool | None
 
 
-def corollary_form_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
+def corollary_form_check(dup: Duplication,
                          tol: float = DEFAULT_TOL) -> CorollaryReport:
     """When products or right-action values span A, multipliers simplify.
 
@@ -146,20 +146,18 @@ def corollary_form_check(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
     of A.  Returns whether the hypothesis held and, if so, whether the
     conclusion checked out on a basis of the multiplier space.
     """
+    a, f, act = dup.a, dup.f, dup.act
     squares_full = span_products(a, "squares", tol=tol).dim == a.dim
     action_full = span_products(a, "right_action", act, tol=tol).dim == a.dim
     if not (squares_full or action_full):
         return CorollaryReport(False, None)
-    dup = duplicate(a, f, act, validate=False)
     space = left_multiplier_space(dup, tol)
     lm_a = left_multiplier_space(a, tol)
-    ok = True
-    for col in range(space.dim):
-        t_op = space.basis[:, col].reshape(dup.dim, dup.dim)
-        q = decompose_multiplier(a, f, act, t_op, tol)
-        scale = max(1.0, float(np.max(np.abs(t_op))))
-        if float(np.max(np.abs(q.t2_a))) > 10 * tol * scale:
-            ok = False
-        if not lm_a.contains_vector(q.t1_a.reshape(-1), 10 * tol):
-            ok = False
+    t_ops = space.basis.T.reshape(-1, dup.dim, dup.dim)
+    q = decompose_multiplier(a, f, act, t_ops, tol)
+    scale = np.maximum(1.0, np.max(np.abs(t_ops), axis=(1, 2), initial=0.0))
+    ok = bool(np.all(np.max(np.abs(q.t2_a), axis=(1, 2), initial=0.0)
+                     <= 10 * tol * scale))
+    ok = ok and all(lm_a.contains_vector(t1_a.reshape(-1), 10 * tol)
+                    for t1_a in q.t1_a)
     return CorollaryReport(True, ok)

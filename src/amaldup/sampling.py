@@ -131,7 +131,7 @@ def _one_sided_unit2():
 
 def _direct_sum(c1: Core, c2: Core) -> Core:
     """The direct sum, each summand's characters and idempotents padded."""
-    alg = direct_sum(*(FinDimAlgebra.from_mult(c.mult, detect_unit=False)
+    alg = direct_sum(*(FinDimAlgebra.from_mult(c.mult)
                        for c in (c1, c2)))
     widths = ((0, c2.dim), (c1.dim, 0))
 
@@ -285,8 +285,8 @@ def _draw_action(a_core: Core, f_core: Core, rng, symmetric: bool, mode: int):
         theta = f_core.characters[rng.integers(len(f_core.characters))]
         u = a_core.idempotents[rng.integers(len(a_core.idempotents))]
         t_matrix = np.outer(u, theta)
-        a_alg = FinDimAlgebra.from_mult(a_core.mult, detect_unit=False)
-        f_alg = FinDimAlgebra.from_mult(f_core.mult, detect_unit=False)
+        a_alg = FinDimAlgebra.from_mult(a_core.mult)
+        f_alg = FinDimAlgebra.from_mult(f_core.mult)
         if symmetric and not a_core.commutative:
             return None, ""
         return homomorphism_action(a_alg, f_alg, t_matrix), "homomorphism"

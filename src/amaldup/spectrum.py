@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BimoduleAction, FinDimAlgebra, duplicate, join_element
+from .algebra import BimoduleAction, Duplication, FinDimAlgebra, join_element
 from .errors import (CommutativityRequired, DegenerateSpectrum, NotACharacter,
                      IncompatibleAction, SpectrumTheoremViolation)
 from .linalg import DEFAULT_TOL, Subspace, as_cvector, rank_nullspace
@@ -206,8 +206,8 @@ def tilde(phi: Character | np.ndarray, a: FinDimAlgebra, f: FinDimAlgebra,
     return out
 
 
-def duplication_spectrum(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                         tol: float = DEFAULT_TOL, match_tol: float | None = None):
+def duplication_spectrum(dup: Duplication, tol: float = DEFAULT_TOL,
+                         match_tol: float | None = None):
     """Assembled and direct spectra of the duplication, cross-checked.
 
     Returns ``(e_list, f_list, sigma)`` where ``e_list`` lifts each
@@ -215,16 +215,16 @@ def duplication_spectrum(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
     of F with zero A-part, and ``sigma`` is computed directly on the
     duplication.  Raises :class:`SpectrumTheoremViolation` when the two
     routes disagree -- that signals a bug, not a property of the input.
+    The triple is not validated again: :func:`duplicate` did that.
     """
     if match_tol is None:
         match_tol = 10 * tol
+    a, f, act = dup.a, dup.f, dup.act
     e_list = []
     for phi in characters(a, tol):
         e_list.append(join_element(phi.phi, tilde(phi, a, f, act, tol)))
     f_list = [join_element(np.zeros(a.dim), psi.phi)
               for psi in characters(f, tol)]
-
-    dup = duplicate(a, f, act, tol)
     sigma = [chi.phi for chi in characters(dup, tol)]
 
     for e_chi in e_list:
@@ -247,9 +247,13 @@ def gelfand_semisimple(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> bool:
     """
     if not alg.is_commutative(tol):
         raise CommutativityRequired("algebra is not commutative at tol")
-    chars = characters(alg, tol)
-    if not chars:
+    return separates_points([chi.phi for chi in characters(alg, tol)], tol)
+
+
+def separates_points(covectors, tol: float = DEFAULT_TOL) -> bool:
+    """True when the covectors' coordinate matrix has a trivial nullspace,
+    i.e. they separate points; an empty list never does."""
+    if not covectors:
         return False
-    stack = np.array([chi.phi for chi in chars])
-    _, null = rank_nullspace(stack, tol)
+    _, null = rank_nullspace(np.array(covectors), tol)
     return null.dim == 0

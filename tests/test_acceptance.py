@@ -73,7 +73,7 @@ def test_criterion_5_arens_identity(all_fixtures):
             worst = max(worst,
                         float(np.max(np.abs(st.first - alg.mult))),
                         float(np.max(np.abs(st.second - alg.mult))))
-        worst = max(worst, second_dual_duplication_defect(a, f, act))
+        worst = max(worst, second_dual_duplication_defect(dup))
     row = audit.audit_arens(trials=50, seed=50, tol=1e-10)
     worst = max(worst, row.defect)
     report("5 extended-product identity", row.passed and worst <= 1e-10,

@@ -140,7 +140,7 @@ def witness_triples(zero_pair, lau_unital, module_extension, triangular):
 def inner_roundtrip(triple, level, rng):
     """A random inner derivation's quadruple, matched and rebuilt."""
     a, f, act = triple
-    bim = duplication_nth_dual(a, f, act, level)
+    bim = duplication_nth_dual(duplicate(a, f, act), level)
     dim = a.dim + f.dim
     w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     d = inner_derivation(bim, w)
@@ -209,7 +209,7 @@ class TestDecomposition:
         rng = np.random.default_rng(25)
         for a, f, act in witness_triples:
             for level in (0, 2):
-                bim = duplication_nth_dual(a, f, act, level)
+                bim = duplication_nth_dual(duplicate(a, f, act), level)
                 w = rng.standard_normal(a.dim + f.dim)
                 q = DerivationQuadruple.split(a.dim, inner_derivation(bim, w), level)
                 assert np.max(np.abs(q.d2_a)) < 1e-12
@@ -591,7 +591,7 @@ class TestCorollaryDT:
                     blocks.append(np.einsum("ikm,m->ki",
                                             b.mix_left - b.mix_right, x))
                 for t_block in blocks:
-                    report = corollary_dt_check(a, f, act, t_block, n)
+                    report = corollary_dt_check(duplicate(a, f, act), t_block, n)
                     expected = x_only_witness(a, f, act, t_block, n)
                     assert report.is_derivation
                     assert expected is not None
@@ -603,27 +603,27 @@ class TestCorollaryDT:
 
     def test_zero_map_inner_with_zero_witness(self, lau_unital):
         a, f, act = lau_unital
-        report = corollary_dt_check(a, f, act, np.zeros((1, 1)), 1)
+        report = corollary_dt_check(duplicate(a, f, act), np.zeros((1, 1)), 1)
         assert report.is_derivation
         assert report.inner_witness is not None
         assert np.max(np.abs(report.inner_witness)) < 1e-9
 
     def test_zero_pair_nonzero_map_not_inner(self, zero_pair):
         a, f, act = zero_pair
-        report = corollary_dt_check(a, f, act, np.array([[1.0]]), 1)
+        report = corollary_dt_check(duplicate(a, f, act), np.array([[1.0]]), 1)
         assert report.is_derivation
         assert report.inner_witness is None
 
     def test_module_extension_map(self, module_extension):
         a, f, act = module_extension
-        report = corollary_dt_check(a, f, act, np.array([[2.0]]), 1)
+        report = corollary_dt_check(duplicate(a, f, act), np.array([[2.0]]), 1)
         assert report.is_derivation
 
     def test_hypothesis_enforced(self, lau_unital):
         a, f, act = lau_unital
         with pytest.raises(HypothesisNotMet):
             # products span A, so no nonzero map vanishes on them
-            corollary_dt_check(a, f, act, np.array([[1.0]]), 1)
+            corollary_dt_check(duplicate(a, f, act), np.array([[1.0]]), 1)
 
 
 class TestModuleDerivations:
@@ -640,14 +640,14 @@ class TestModuleDerivations:
 class TestUnitalForm:
     def test_lau_passes_odd_and_even(self, lau_unital):
         a, f, act = lau_unital
-        assert unital_form_check(a, f, act, 1).passed
-        assert unital_form_check(a, f, act, 0).passed
-        assert unital_form_check(a, f, act, 2).passed
+        assert unital_form_check(duplicate(a, f, act), 1).passed
+        assert unital_form_check(duplicate(a, f, act), 0).passed
+        assert unital_form_check(duplicate(a, f, act), 2).passed
 
     def test_requires_unit(self, zero_pair):
         a, f, act = zero_pair
         with pytest.raises(UnitRequired):
-            unital_form_check(a, f, act, 1)
+            unital_form_check(duplicate(a, f, act), 1)
 
 
 class TestPropertyH:

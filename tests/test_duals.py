@@ -82,11 +82,11 @@ class TestDualTower:
                                             triangular):
         for triple in (lau_unital, module_extension, triangular):
             for n in range(4):
-                duplication_nth_dual(*triple, n)  # raises on mismatch
+                duplication_nth_dual(duplicate(*triple), n)  # raises on mismatch
 
     def test_odd_level_blocks_lower_triangular(self, triangular):
         a, f, act = triangular
-        bim = duplication_nth_dual(a, f, act, 1)
+        bim = duplication_nth_dual(duplicate(a, f, act), 1)
         da = a.dim
         # A-indexed left operators must not leak F-dual into A-dual at odd level
         assert np.max(np.abs(bim.left_ops[:da, :da, da:])) == 0.0
@@ -113,29 +113,29 @@ class TestArens:
 
     def test_action_extensions_collapse(self, lau_unital):
         a, f, act = lau_unital
-        ext = arens_action_extensions(a, f, act)
+        ext = arens_action_extensions(duplicate(a, f, act))
         assert np.array_equal(ext.bullet.left, act.left)
         assert np.array_equal(ext.blacktriangle.right, act.right)
 
     def test_second_dual_duplication_identity(self, lau_unital, module_extension,
                                               triangular):
         for triple in (lau_unital, module_extension, triangular):
-            assert second_dual_duplication_defect(*triple) <= 1e-10
+            assert second_dual_duplication_defect(duplicate(*triple)) <= 1e-10
 
 
 class TestCentres:
     def test_all_full(self, lau_unital):
-        cents = topological_centres(*lau_unital)
+        cents = topological_centres(duplicate(*lau_unital))
         assert cents["Zt_dup"].dim == 2
         assert cents["Zt_A"].dim == 1
         assert cents["Z_F_on_A"].dim == 1
 
     def test_triangular_full(self, triangular):
-        cents = topological_centres(*triangular)
+        cents = topological_centres(duplicate(*triangular))
         assert cents["Zt_dup"].dim == 3
 
     def test_zero_pair_full(self, zero_pair):
-        cents = topological_centres(*zero_pair)
+        cents = topological_centres(duplicate(*zero_pair))
         assert all(s.dim == s.ambient_dim for s in cents.values())
 
 

@@ -67,7 +67,7 @@ class TestNestedTriangular:
 
     def test_three_characters_all_from_second_factor(self):
         a, f, act = upper_triangular_3()
-        e_list, f_list, sigma = duplication_spectrum(a, f, act)
+        e_list, f_list, sigma = duplication_spectrum(duplicate(a, f, act))
         assert len(e_list) == 0  # the module factor has the zero product
         assert len(f_list) == 3 and len(sigma) == 3
 
@@ -86,7 +86,7 @@ class TestNestedTriangular:
         for n in (0, 1):
             direct = cohomology(dup, n).dim_z1
             assert derivation_quadruple_space(a, f, act, n).dim == direct
-        duplication_nth_dual(a, f, act, 3)  # block tower consistent
+        duplication_nth_dual(dup, 3)  # block tower consistent
 
     def test_maximal_ideals_codim_one_diagonals(self):
         dup = duplicate(*upper_triangular_3())
@@ -102,7 +102,7 @@ class TestLargerPointwise:
         f = pointwise_algebra(3)
         theta = characters(f)[0]
         act = lau_action(a, f, theta.phi)
-        e_list, f_list, sigma = duplication_spectrum(a, f, act)
+        e_list, f_list, sigma = duplication_spectrum(duplicate(a, f, act))
         assert len(e_list) == 4 and len(f_list) == 3 and len(sigma) == 7
 
     def test_semisimple_rigid(self):

@@ -92,17 +92,17 @@ class TestDefects:
 class TestProductIdealTest:
     def test_whole_space(self, lau_unital):
         a, f, act = lau_unital
-        report = product_ideal_test(a, f, act, Subspace.full(1), Subspace.full(1))
+        report = product_ideal_test(duplicate(a, f, act), Subspace.full(1), Subspace.full(1))
         assert report.conjunction and report.direct
 
     def test_first_factor_is_ideal(self, module_extension):
         a, f, act = module_extension
-        report = product_ideal_test(a, f, act, Subspace.full(1), Subspace.zero(1))
+        report = product_ideal_test(duplicate(a, f, act), Subspace.full(1), Subspace.zero(1))
         assert report.conjunction and report.direct
 
     def test_lau_zero_times_f_fails(self, lau_unital):
         a, f, act = lau_unital
-        report = product_ideal_test(a, f, act, Subspace.zero(1), Subspace.full(1))
+        report = product_ideal_test(duplicate(a, f, act), Subspace.zero(1), Subspace.full(1))
         assert not report.a_dot_j_inside_i
         assert not report.direct
         assert report.conjunction == report.direct
@@ -113,7 +113,7 @@ class TestProductIdealTest:
             for _ in range(25):
                 i_vecs = rng.standard_normal((a.dim, rng.integers(0, a.dim + 1)))
                 j_vecs = rng.standard_normal((f.dim, rng.integers(0, f.dim + 1)))
-                report = product_ideal_test(a, f, act,
+                report = product_ideal_test(duplicate(a, f, act),
                                             span(i_vecs.T, a.dim),
                                             span(j_vecs.T, f.dim))
                 assert report.conjunction == report.direct

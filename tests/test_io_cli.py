@@ -129,6 +129,18 @@ class TestCli:
         assert code == 1
         assert "fail" in report
 
+    def test_spectrum_validates_its_bundle(self, tmp_path):
+        # f.e = 2e breaks (ff).e = f.(f.e); the spectrum command's one
+        # validation is the duplicate it builds
+        bad = tmp_path / "bad.json"
+        unit = '{"dim": 1, "mult": [[0, 0, 0, 1.0, 0.0]]}'
+        bad.write_text(f'{{"algebra_a": {unit}, "algebra_f": {unit}, '
+                       '"action": {"left": [[0, 0, 0, 2.0, 0.0]], '
+                       '"right": [[0, 0, 0, 2.0, 0.0]]}}')
+        code, report = run_command(["spectrum", str(bad)])
+        assert code == 1
+        assert "fails validation" in report
+
     def test_usage_error_exit_two(self):
         code, _ = run_command(["no-such-command"])
         assert code == 2
@@ -336,4 +348,5 @@ class TestAudit:
         claims = {note: violated
                   for _, note, _, violated in audit._TRANSFER_CLAIMS}
         for note, triple in witnesses.items():
-            assert claims[note](audit._Premises(*triple, DEFAULT_TOL))
+            dup = duplicate(*triple, validate=False)
+            assert claims[note](audit._Premises(dup, DEFAULT_TOL))

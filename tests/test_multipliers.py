@@ -101,21 +101,21 @@ class TestQuadrupleDimension:
 
 class TestCorollary:
     def test_lau_hypothesis_and_conclusion(self, lau_unital):
-        report = corollary_form_check(*lau_unital)
+        report = corollary_form_check(duplicate(*lau_unital))
         assert report.hypothesis_held and report.conclusion_verified
 
     def test_zero_pair_hypothesis_fails(self, zero_pair):
-        report = corollary_form_check(*zero_pair)
+        report = corollary_form_check(duplicate(*zero_pair))
         assert not report.hypothesis_held
         assert report.conclusion_verified is None
 
     def test_module_extension_identity_action(self, module_extension):
-        report = corollary_form_check(*module_extension)
+        report = corollary_form_check(duplicate(*module_extension))
         assert report.hypothesis_held and report.conclusion_verified
 
     def test_left_scalar_bundle(self):
         core = _left_scalar(np.array([1.0, 0.5]))
         moved = _transform_core(core, random_unitary(np.random.default_rng(9), 2))
         a = FinDimAlgebra.from_mult(moved.mult)
-        rep = corollary_form_check(a, a, natural_action(a))
+        rep = corollary_form_check(duplicate(a, a, natural_action(a)))
         assert rep.hypothesis_held and rep.conclusion_verified

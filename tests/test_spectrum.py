@@ -183,24 +183,24 @@ class TestTilde:
 
 class TestDuplicationSpectrum:
     def test_lau_fixture(self, lau_unital):
-        e_list, f_list, sigma = duplication_spectrum(*lau_unital)
+        e_list, f_list, sigma = duplication_spectrum(duplicate(*lau_unital))
         assert len(e_list) == 1 and len(f_list) == 1 and len(sigma) == 2
         assert characters_match(e_list, [np.array([1.0, 1.0])], 1e-8)
         assert characters_match(f_list, [np.array([0.0, 1.0])], 1e-8)
 
     def test_module_extension_fixture(self, module_extension):
-        e_list, f_list, sigma = duplication_spectrum(*module_extension)
+        e_list, f_list, sigma = duplication_spectrum(duplicate(*module_extension))
         assert e_list == []
         assert len(f_list) == 1 and len(sigma) == 1
         assert characters_match(f_list, [np.array([0.0, 1.0])], 1e-8)
 
     def test_zero_pair_empty(self, zero_pair):
-        e_list, f_list, sigma = duplication_spectrum(*zero_pair)
+        e_list, f_list, sigma = duplication_spectrum(duplicate(*zero_pair))
         assert e_list == [] and f_list == [] and sigma == []
 
     def test_natural_self_action(self):
         alg = pointwise_algebra(2)
-        e_list, f_list, sigma = duplication_spectrum(alg, alg, natural_action(alg))
+        e_list, f_list, sigma = duplication_spectrum(duplicate(alg, alg, natural_action(alg)))
         assert len(sigma) == len(e_list) + len(f_list) == 4
 
 
