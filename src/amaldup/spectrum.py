@@ -215,7 +215,8 @@ def duplication_spectrum(dup: Duplication, tol: float = DEFAULT_TOL,
     of F with zero A-part, and ``sigma`` is computed directly on the
     duplication.  Raises :class:`SpectrumTheoremViolation` when the two
     routes disagree -- that signals a bug, not a property of the input.
-    The triple is not validated again: :func:`duplicate` did that.
+    The triple is not validated here: for outside input, build the record
+    with a validating :func:`duplicate`.
     """
     if match_tol is None:
         match_tol = 10 * tol
