@@ -151,6 +151,15 @@ class ActionReport:
         return max(self.defects.values()) if self.defects else 0.0
 
 
+def associativity_defect(mult: np.ndarray) -> float:
+    """Worst entry of (e_i e_j) e_k - e_i (e_j e_k) over all basis triples."""
+    if not mult.size:
+        return 0.0
+    lhs = np.einsum("ijm,mkl->ijkl", mult, mult)   # (e_i e_j) e_k
+    rhs = np.einsum("jkm,iml->ijkl", mult, mult)   # e_i (e_j e_k)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def validate_algebra(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> AlgebraReport:
     """Report associativity / unit defects and the l1 growth constant.
 
@@ -159,9 +168,7 @@ def validate_algebra(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> AlgebraRep
     submultiplicative, so large values are reported but never rejected.
     """
     c = alg.mult
-    lhs = np.einsum("ijm,mkl->ijkl", c, c)   # (e_i e_j) e_k
-    rhs = np.einsum("jkm,iml->ijkl", c, c)   # e_i (e_j e_k)
-    assoc = float(np.max(np.abs(lhs - rhs))) if c.size else 0.0
+    assoc = associativity_defect(c)
     unit_defect = 0.0
     if alg.unit is not None:
         ident = np.eye(alg.dim)

@@ -301,9 +301,8 @@ def cmd_cyclic(args):
 
 
 def cmd_property_h(args):
-    bundle = _load(args)
-    holds = property_h(bundle.algebra_a, bundle.algebra_f, bundle.action,
-                       args.n, args.tol)
+    dup = _load_duplication(args)
+    holds = property_h(dup.a, dup.f, dup.act, args.n, args.tol)
     return [_row(f"extension-property-level-{2 * args.n + 1}", "info",
                  value=holds)]
 

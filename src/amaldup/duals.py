@@ -35,6 +35,7 @@ import numpy as np
 
 from .algebra import BimoduleAction, Duplication, FinDimAlgebra, duplicate
 from .errors import ArensDefect, InternalInconsistency
+from .ideals import block_subspace
 from .linalg import (DEFAULT_TOL, IDENTITY_TOL, Subspace, as_cvector,
                      rank_nullspace, subspace_equal, subspace_intersect)
 
@@ -490,19 +491,11 @@ def topological_centres(dup: Duplication,
 
     left_block = subspace_intersect(zt_a, z_f_on_a)
     right_block = subspace_intersect(zt_f, z_a_on_f)
-    product = _block_product(left_block, right_block)
+    product = block_subspace(left_block, right_block)
     if not subspace_equal(zt_dup, product, 10 * tol):
         raise InternalInconsistency("centre product formula fails")
     return {"Zt_dup": zt_dup, "Zt_A": zt_a, "Zt_F": zt_f,
             "Z_F_on_A": z_f_on_a, "Z_A_on_F": z_a_on_f}
-
-
-def _block_product(s1: Subspace, s2: Subspace) -> Subspace:
-    da, df = s1.ambient_dim, s2.ambient_dim
-    basis = np.zeros((da + df, s1.dim + s2.dim), dtype=complex)
-    basis[:da, :s1.dim] = s1.basis
-    basis[da:, s1.dim:] = s2.basis
-    return Subspace(da + df, basis, s1.tol)
 
 
 def canonical_embedding(alg: FinDimAlgebra, x) -> np.ndarray:

@@ -39,7 +39,7 @@ class TestSharedDraws:
 
     def test_each_triple_drawn_and_assembled_once(self, monkeypatch):
         calls = {"random_triple": 0, "Duplication": 0, "characters": 0}
-        unit_callers = []
+        unit_callers, readers = [], {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -51,24 +51,52 @@ class TestSharedDraws:
             unit_callers.append(sys._getframe(1).f_code.co_name)
             return detect(*args)
 
-        detect = algebra._detect_unit
+        def shared_draws(trials, seed, commutative_symmetric=False,
+                         unital_a=False):
+            stream = (seed, commutative_symmetric, unital_a)
+            readers.setdefault(stream, set()).add(sys._getframe(1).f_code.co_name)
+            return shared(trials, seed, commutative_symmetric, unital_a)
+
+        detect, shared = algebra._detect_unit, audit._shared_draws
         monkeypatch.setattr(audit, "random_triple",
                             counted("random_triple", audit.random_triple))
+        monkeypatch.setattr(audit, "_shared_draws", shared_draws)
         monkeypatch.setattr(Duplication, "__init__",
                             counted("Duplication", Duplication.__init__))
         monkeypatch.setattr(spectrum, "characters",
                             counted("characters", spectrum.characters))
         monkeypatch.setattr(algebra, "_detect_unit", detect_unit)
         audit.run_full_audit(50, 0)
-        # 50 shared draws plus 50 + 50 + 16 + 25 + 50 + 50 of the streams
-        # and generators used once; each assembled once, and the 25 arens
-        # trials each assemble one second-dual duplication besides
-        assert calls["random_triple"] == 291
-        assert calls["Duplication"] == 291 + 25
+        # 50 draws of each of the plain, commutative-symmetric and unital
+        # streams; each assembled once, and the 25 arens trials each
+        # assemble one second-dual duplication besides
+        assert calls["random_triple"] == 150
+        assert calls["Duplication"] == 150 + 25
+        # the families that also draw ideals or witnesses read the plain
+        # stream too, and claim (d) the unital form's stream
+        assert set(readers) == {(0, False, False), (0, True, False),
+                                (0, False, True)}
+        assert {"audit_derivations", "audit_ideals",
+                "audit_maximal_blocks"} <= readers[0, False, False]
+        assert readers[0, False, True] == {"audit_transfers",
+                                           "audit_unital_form"}
         # A, F and the duplication once per spectrum trial
         assert calls["characters"] == 150
         assert unit_callers and set(unit_callers) == {"unit"}
         assert audit._STREAMS.get() is None
+
+    def test_associativity_audit_solves_no_unit(self, monkeypatch):
+        calls = []
+        detect = algebra._detect_unit
+        token = audit._STREAMS.set({})
+        try:
+            audit._shared_draws(5, 0)
+            monkeypatch.setattr(algebra, "_detect_unit",
+                                lambda *args: calls.append(1) or detect(*args))
+            assert audit.audit_associativity(5, 0).passed
+        finally:
+            audit._STREAMS.reset(token)
+        assert calls == []
 
     def test_shared_arrays_are_read_only(self):
         for dup, _ in audit._shared_draws(5, 0):

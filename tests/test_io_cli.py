@@ -30,6 +30,13 @@ BLOCK_ROUTE_COMMANDS = {
 }
 
 
+# f.e = 2e breaks (ff).e = f.(f.e)
+_UNIT = '{"dim": 1, "mult": [[0, 0, 0, 1.0, 0.0]]}'
+BAD_ACTION = (f'{{"algebra_a": {_UNIT}, "algebra_f": {_UNIT}, '
+              '"action": {"left": [[0, 0, 0, 2.0, 0.0]], '
+              '"right": [[0, 0, 0, 2.0, 0.0]]}}')
+
+
 def fixture_path(name):
     return os.path.join(FIXDIR, f"{name}.json")
 
@@ -130,16 +137,21 @@ class TestCli:
         assert "fail" in report
 
     def test_spectrum_validates_its_bundle(self, tmp_path):
-        # f.e = 2e breaks (ff).e = f.(f.e); the spectrum command's one
-        # validation is the duplicate it builds
+        # the spectrum command's one validation is the duplicate it builds
         bad = tmp_path / "bad.json"
-        unit = '{"dim": 1, "mult": [[0, 0, 0, 1.0, 0.0]]}'
-        bad.write_text(f'{{"algebra_a": {unit}, "algebra_f": {unit}, '
-                       '"action": {"left": [[0, 0, 0, 2.0, 0.0]], '
-                       '"right": [[0, 0, 0, 2.0, 0.0]]}}')
+        bad.write_text(BAD_ACTION)
         code, report = run_command(["spectrum", str(bad)])
         assert code == 1
         assert "fails validation" in report
+
+    def test_property_h_validates_its_bundle(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_ACTION)
+        _, spectrum = run_command(["spectrum", str(bad)])
+        code, report = run_command(["property-h", str(bad)])
+        assert code == 1
+        # the same row but for the command name
+        assert report.split(None, 1)[1] == spectrum.split(None, 1)[1]
 
     def test_usage_error_exit_two(self):
         code, _ = run_command(["no-such-command"])
