@@ -283,6 +283,13 @@ def span_products(alg: FinDimAlgebra, mode: str = "squares",
 # canonical constructions
 
 
+def multiplicativity_defect(alg: FinDimAlgebra, chi: np.ndarray) -> float:
+    """max_ij |chi(e_i e_j) - chi(e_i) chi(e_j)|."""
+    chi = as_cvector(chi, alg.dim)
+    values = np.einsum("ijk,k->ij", alg.mult, chi)
+    return float(np.max(np.abs(values - np.outer(chi, chi))))
+
+
 def lau_action(a: FinDimAlgebra, f: FinDimAlgebra, theta,
                tol: float = DEFAULT_TOL) -> BimoduleAction:
     """Character-scaled action ``b.x = x.b = theta(b) x``.
@@ -290,8 +297,7 @@ def lau_action(a: FinDimAlgebra, f: FinDimAlgebra, theta,
     ``theta`` must be a nonzero multiplicative functional on ``f``.
     """
     theta = as_cvector(theta, f.dim)
-    defect = float(np.max(np.abs(
-        np.einsum("pqr,r->pq", f.mult, theta) - np.outer(theta, theta))))
+    defect = multiplicativity_defect(f, theta)
     if defect > tol or np.max(np.abs(theta)) <= tol:
         raise NotACharacter(
             f"functional is not multiplicative (defect {defect:.3g})")

@@ -43,7 +43,7 @@ from .errors import InternalInconsistency, SpectrumTheoremViolation
 from .ideals import (block_subspace, ideal_generated, is_ideal,
                      is_maximal_left_ideal, maximality_direction_oracle,
                      product_ideal_test, project_components)
-from .linalg import DEFAULT_TOL, IDENTITY_TOL, Subspace, subspace_equal
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, Subspace, check_bound, subspace_equal
 from .multipliers import (decompose_multiplier, left_multiplier_space,
                           quadruple_space)
 from .sampling import (COMMUTATIVE_CORES, NONCOMMUTATIVE_CORES,
@@ -131,7 +131,7 @@ def audit_associativity(trials: int = 200, seed: int = 0,
 
 
 def audit_spectrum(trials: int = 100, seed: int = 0, tol: float = DEFAULT_TOL,
-                   match_tol: float = 1e-7) -> list[AuditRow]:
+                   match_tol: float | None = None) -> list[AuditRow]:
     """Direct spectra match the assembled families; the families are disjoint.
 
     Semisimplicity of A, F and the duplication is read from the three
@@ -337,17 +337,16 @@ def audit_ideals(trials: int = 60, seed: int = 0,
         report = product_ideal_test(dup, i_sub, j_sub, tol)
         if report.conjunction != report.direct:
             crit_failures.append(_witness(dup, recipe, "block criterion"))
-        f_embedded = block_subspace(Subspace.zero(a.dim, tol),
-                                    Subspace.full(f.dim, tol))
+        f_embedded = block_subspace(Subspace.zero(a.dim), Subspace.full(f.dim))
         seeds = [f_embedded.basis[:, c] for c in range(f_embedded.dim)]
         seeds.append(np.concatenate([
             rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim),
             np.zeros(f.dim)]))
         n_sub = ideal_generated(dup, seeds, "left", tol)
-        i_n, _ = project_components(a.dim, f.dim, n_sub)
+        i_n, _ = project_components(a.dim, f.dim, n_sub, tol)
         if not (is_ideal(a, i_n, "left", tol)
                 and subspace_equal(n_sub, block_subspace(
-                    i_n, Subspace.full(f.dim, tol)), 10 * tol)):
+                    i_n, Subspace.full(f.dim)), check_bound(tol))):
             proj_failures.append(_witness(dup, recipe, "projection"))
     return [_row("ideal-block-criterion", trials, crit_failures),
             _row("ideal-projection-identity", trials, proj_failures)]
@@ -375,7 +374,7 @@ def audit_cyclic_blocks(trials: int = 40, seed: int = 0,
             a.dim, direct.basis.T.reshape(-1, dup.dim, dup.dim), 1)
         worst = np.max(list(cyclic_quadruple_defects(a, f, act, q).values()),
                        axis=0)
-        bad = np.flatnonzero(worst > 100 * tol)
+        bad = np.flatnonzero(worst > check_bound(tol))
         if bad.size:
             failures.append(_witness(
                 dup, recipe, f"cyclic identity defect {worst[bad[0]]:.3g}"))
@@ -404,11 +403,11 @@ def audit_splitting(trials: int = 60, seed: int = 0,
     failures = []
     for dup, recipe in _shared_draws(trials, seed):
         a, f = dup.a, dup.f
-        a_block = block_subspace(Subspace.full(a.dim, tol), Subspace.zero(f.dim, tol))
+        a_block = block_subspace(Subspace.full(a.dim), Subspace.zero(f.dim))
         if not is_ideal(dup, a_block, "two_sided", tol):
             failures.append(_witness(dup, recipe, "A-block not an ideal"))
             continue
-        f_block = block_subspace(Subspace.zero(a.dim, tol), Subspace.full(f.dim, tol))
+        f_block = block_subspace(Subspace.zero(a.dim), Subspace.full(f.dim))
         products = [dup.multiply(f_block.basis[:, i], f_block.basis[:, j])
                     for i in range(f_block.dim) for j in range(f_block.dim)]
         if f_block.residual(products) > tol:
@@ -429,8 +428,8 @@ def audit_maximal_blocks(trials: int = 40, seed: int = 0,
     rng = np.random.default_rng((seed, 3))  # the ideals
     for dup, recipe in _shared_draws(trials, seed):
         a, f = dup.a, dup.f
-        full_a = Subspace.full(a.dim, tol)
-        full_f = Subspace.full(f.dim, tol)
+        full_a = Subspace.full(a.dim)
+        full_f = Subspace.full(f.dim)
         j_sub = random_left_ideal(rng, f, tol)
         if j_sub.dim < f.dim:
             checked += 1

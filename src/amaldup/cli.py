@@ -26,7 +26,7 @@ from .duals import (arens_products, essentiality, nth_dual_bimodule,
                     second_dual_duplication_defect, topological_centres)
 from .errors import DuplicateEntry, ParseError
 from .ideals import is_ideal, product_ideal_test, project_components
-from .linalg import DEFAULT_TOL, IDENTITY_TOL, Subspace
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, Subspace, check_bound
 from .multipliers import (corollary_form_check, left_multiplier_space,
                           quadruple_space)
 from .spectrum import duplication_spectrum, gelfand_semisimple
@@ -173,7 +173,7 @@ def cmd_duplicate(args):
 def cmd_spectrum(args):
     e_list, f_list, sigma = duplication_spectrum(_load_duplication(args), args.tol)
     rows = [_row("character-count", "info", value=len(sigma))]
-    match = 10 * args.tol  # the tolerance duplication_spectrum matched at
+    match = check_bound(args.tol)  # the tolerance duplication_spectrum matched at
     for k, chi in enumerate(sigma):
         if any(np.max(np.abs(chi - e)) <= match for e in e_list):
             family = "A-lifted"
@@ -223,7 +223,7 @@ def cmd_ideals(args):
     for side in ("left", "right", "two_sided"):
         rows.append(_row(f"is-{side.replace('_', '-')}-ideal", "info",
                          value=is_ideal(dup, sub, side, args.tol)))
-    i_n, j_n = project_components(dup.a.dim, dup.f.dim, sub)
+    i_n, j_n = project_components(dup.a.dim, dup.f.dim, sub, args.tol)
     rows.append(_row("projection-dims", "info",
                      value={"onto-A": i_n.dim, "onto-F": j_n.dim}))
     report = product_ideal_test(dup, i_n, j_n, args.tol)

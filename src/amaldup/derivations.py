@@ -42,7 +42,7 @@ from .duals import (D1A, D1F, D2A, D2F, L, R, BlockIdentity, BlockLayout,
                     duplication_dual_blocks, duplication_nth_dual,
                     nth_dual_bimodule, slot_system)
 from .errors import DecompositionDefect, HypothesisNotMet, UnitRequired
-from .linalg import (DEFAULT_TOL, Subspace, _streamed_nullspace,
+from .linalg import (DEFAULT_TOL, Subspace, _streamed_nullspace, check_bound,
                      rank_nullspace, solve_affine, subspace_intersect)
 
 
@@ -241,8 +241,7 @@ def decompose_derivation(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
     q = DerivationQuadruple.split(a.dim, d, n)
     defects = block_residuals(derivation_identities(a, f, act, n), q.blocks)
     worst = max(defects.values()) if defects else 0.0
-    scale = max(1.0, float(np.max(np.abs(d))) if d.size else 1.0)
-    if worst > 10 * tol * scale:
+    if worst > check_bound(tol, np.max(np.abs(d), initial=0.0)):
         bad = max(defects, key=defects.get)
         raise DecompositionDefect(
             f"derivation block identity {bad!r} fails with defect {worst:.3g}")
@@ -356,7 +355,7 @@ def corollary_dt_check(dup: Duplication, t_block: np.ndarray, n: int,
     defect = derivation_defect(dup.mult, duplication_nth_dual(dup, n),
                                q.assemble())
     witness = is_inner_match(a, f, act, q, tol)
-    return AugmentedDerivationReport(defect <= 10 * tol, defect,
+    return AugmentedDerivationReport(defect <= check_bound(tol), defect,
                                      None if witness is None else witness[0])
 
 
@@ -417,7 +416,7 @@ def unital_form_check(dup: Duplication, n: int,
     basis = space.basis.T.reshape(-1, dup.dim, dup.dim)
     residuals = block_residuals(identities, BlockLayout(a.dim, f.dim).split(basis))
     worst = float(np.max(list(residuals.values()), initial=0.0))
-    return UnitalFormReport(n, space.dim, worst, worst <= 100 * tol)
+    return UnitalFormReport(n, space.dim, worst, worst <= check_bound(tol))
 
 
 def property_h(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,

@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import BimoduleAction, Duplication, FinDimAlgebra, duplicate
 from .errors import ArensDefect, InternalInconsistency
 from .ideals import block_subspace
-from .linalg import (DEFAULT_TOL, IDENTITY_TOL, Subspace, as_cvector,
+from .linalg import (DEFAULT_TOL, IDENTITY_TOL, Subspace, as_cvector, check_bound,
                      rank_nullspace, subspace_equal, subspace_intersect)
 
 
@@ -94,7 +94,7 @@ class ArensStructure:
     blacktriangle: BimoduleAction | None = None
 
 
-def arens_products(alg: FinDimAlgebra, tol: float = IDENTITY_TOL) -> ArensStructure:
+def arens_products(alg: FinDimAlgebra) -> ArensStructure:
     """Both three-step extended products on the second dual.
 
     Each is evaluated literally by iterating its adjoint three times, and
@@ -107,14 +107,13 @@ def arens_products(alg: FinDimAlgebra, tol: float = IDENTITY_TOL) -> ArensStruct
     second = second_adjoint(second_adjoint(second_adjoint(m)))
     d1 = float(np.max(np.abs(first - m))) if m.size else 0.0
     d2 = float(np.max(np.abs(second - m))) if m.size else 0.0
-    if max(d1, d2) > tol:
+    if max(d1, d2) > IDENTITY_TOL:
         raise ArensDefect(f"extended products differ from the original "
                           f"tensor by {max(d1, d2):.3g}")
     return ArensStructure(first, second)
 
 
-def arens_action_extensions(dup: Duplication,
-                            tol: float = IDENTITY_TOL) -> ArensStructure:
+def arens_action_extensions(dup: Duplication) -> ArensStructure:
     """Extended products together with both extended actions on second duals.
 
     The first-convention extension of the right action sends
@@ -123,7 +122,7 @@ def arens_action_extensions(dup: Duplication,
     triple adjoints and verified to collapse onto the original tensors.
     """
     act = dup.act
-    base = arens_products(dup, tol)
+    base = arens_products(dup)
     bullet = BimoduleAction(
         first_adjoint(first_adjoint(first_adjoint(act.left))),
         first_adjoint(first_adjoint(first_adjoint(act.right))))
@@ -133,7 +132,7 @@ def arens_action_extensions(dup: Duplication,
     defect = max(float(np.max(np.abs(ext - orig), initial=0.0))
                  for ext, orig in ((bullet.left, act.left), (bullet.right, act.right),
                                    (black.left, act.left), (black.right, act.right)))
-    if defect > tol:
+    if defect > IDENTITY_TOL:
         raise ArensDefect(f"extended actions differ from the originals by {defect:.3g}")
     return ArensStructure(base.first, base.second, bullet, black)
 
@@ -231,8 +230,7 @@ def assemble_duplication_dual(blocks: DualActionBlocks) -> DualBimodule:
     return DualBimodule(blocks.level, left, right)
 
 
-def duplication_nth_dual(dup: Duplication, n: int,
-                         tol: float = IDENTITY_TOL) -> DualBimodule:
+def duplication_nth_dual(dup: Duplication, n: int) -> DualBimodule:
     """Level-n dual bimodule of the duplication, built blockwise.
 
     Cross-checked against the generic transpose recursion applied to the
@@ -243,7 +241,7 @@ def duplication_nth_dual(dup: Duplication, n: int,
     generic = nth_dual_bimodule(dup, n)
     defect = max(float(np.max(np.abs(assembled.left_ops - generic.left_ops))),
                  float(np.max(np.abs(assembled.right_ops - generic.right_ops))))
-    if defect > tol:
+    if defect > IDENTITY_TOL:
         raise InternalInconsistency(
             f"blockwise dual structure deviates from the recursion by {defect:.3g}")
     return assembled
@@ -441,7 +439,7 @@ def block_nullspace(identities, layout: BlockLayout,
     _, null = rank_nullspace(reduced, tol, floor)
     basis = np.vstack([n @ null.basis[ends[s]:ends[s + 1]]
                        for s, n in enumerate(nulls)])
-    return Subspace(layout.offsets[-1], basis, tol)
+    return Subspace(layout.offsets[-1], basis)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +455,7 @@ def _centre_of_difference(diff: np.ndarray, over: str,
     """
     dim = diff.shape[0] if over == "first" else diff.shape[1]
     if diff.size == 0 or float(np.max(np.abs(diff))) <= tol:
-        return Subspace.full(dim, tol)
+        return Subspace.full(dim)
     if over == "first":
         system = np.transpose(diff, (1, 2, 0)).reshape(-1, dim)
     else:
@@ -489,10 +487,10 @@ def topological_centres(dup: Duplication,
     z_a_on_f = _centre_of_difference(ext.bullet.left - ext.blacktriangle.left,
                                      "first", tol)
 
-    left_block = subspace_intersect(zt_a, z_f_on_a)
-    right_block = subspace_intersect(zt_f, z_a_on_f)
+    left_block = subspace_intersect(zt_a, z_f_on_a, tol)
+    right_block = subspace_intersect(zt_f, z_a_on_f, tol)
     product = block_subspace(left_block, right_block)
-    if not subspace_equal(zt_dup, product, 10 * tol):
+    if not subspace_equal(zt_dup, product, check_bound(tol)):
         raise InternalInconsistency("centre product formula fails")
     return {"Zt_dup": zt_dup, "Zt_A": zt_a, "Zt_F": zt_f,
             "Z_F_on_A": z_f_on_a, "Z_A_on_F": z_a_on_f}
@@ -509,16 +507,12 @@ def essentiality(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     """Whether basis actions span the full n-th dual of A.
 
     Modes: ``algebra_left``/``algebra_right`` use A's own dual actions
-    (the hypotheses of the odd-level sufficiency result, with even n);
-    ``action_left``/``action_right`` use F's dual actions on A.
+    (the hypotheses of the odd-level sufficiency result, with even n).
     """
+    if mode not in ("algebra_left", "algebra_right"):
+        raise ValueError(f"unknown mode {mode!r}")
     blocks = duplication_dual_blocks(a, f, act, n)
-    fam = {"algebra_left": blocks.a_left, "algebra_right": blocks.a_right,
-           "action_left": blocks.act_left, "action_right": blocks.act_right}
-    try:
-        ops = fam[mode]
-    except KeyError:
-        raise ValueError(f"unknown mode {mode!r}") from None
+    ops = blocks.a_left if mode == "algebra_left" else blocks.a_right
     da = a.dim
     vectors = np.transpose(ops, (1, 0, 2)).reshape(da, -1)
     rank, _ = rank_nullspace(vectors.T, tol)

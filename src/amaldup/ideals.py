@@ -83,16 +83,16 @@ def block_subspace(i_sub: Subspace, j_sub: Subspace) -> Subspace:
     basis = np.zeros((da + df, i_sub.dim + j_sub.dim), dtype=complex)
     basis[:da, :i_sub.dim] = i_sub.basis
     basis[da:, i_sub.dim:] = j_sub.basis
-    return Subspace(da + df, basis, i_sub.tol)
+    return Subspace(da + df, basis)
 
 
-def project_components(a_dim: int, f_dim: int,
-                       n_sub: Subspace) -> tuple[Subspace, Subspace]:
+def project_components(a_dim: int, f_dim: int, n_sub: Subspace,
+                       tol: float = DEFAULT_TOL) -> tuple[Subspace, Subspace]:
     """Coordinate projections of a duplication subspace onto the factors."""
     if n_sub.ambient_dim != a_dim + f_dim:
         raise ShapeError("subspace does not live in the duplication")
-    i_n = Subspace.from_spanning(n_sub.basis[:a_dim, :], a_dim, n_sub.tol)
-    j_n = Subspace.from_spanning(n_sub.basis[a_dim:, :], f_dim, n_sub.tol)
+    i_n = Subspace.from_spanning(n_sub.basis[:a_dim, :], a_dim, tol)
+    j_n = Subspace.from_spanning(n_sub.basis[a_dim:, :], f_dim, tol)
     return i_n, j_n
 
 
@@ -128,16 +128,16 @@ def ideal_generated(alg: FinDimAlgebra, seeds, side: str = "left",
     so the result is the unitized module closure.
     """
     return _closure(_side_ops(alg, side),
-                    Subspace.from_spanning(list(seeds), alg.dim, tol))
+                    Subspace.from_spanning(list(seeds), alg.dim, tol), tol)
 
 
-def _closure(ops: np.ndarray, span: Subspace) -> Subspace:
+def _closure(ops: np.ndarray, span: Subspace, tol: float) -> Subspace:
     """Smallest ops-invariant subspace containing ``span``: each round is
     one span of ``[S | op S ...]``, until the dimension stops growing."""
     while True:
         grown = Subspace.from_spanning(
             np.concatenate([span.basis, *(ops @ span.basis)], axis=1),
-            span.ambient_dim, span.tol)
+            span.ambient_dim, tol)
         if grown.dim in (span.dim, span.ambient_dim):
             return grown
         span = grown
@@ -146,7 +146,8 @@ def _closure(ops: np.ndarray, span: Subspace) -> Subspace:
 def quotient_operators(alg: FinDimAlgebra, i_sub: Subspace,
                        side: str = "left") -> np.ndarray:
     """Induced basis operators on the orthogonal model of alg / I."""
-    q = rank_nullspace(i_sub.basis.conj().T, i_sub.tol)[1].basis  # I's complement
+    # I's complement; I's basis is orthonormal, so no cut below 1 matters
+    q = rank_nullspace(i_sub.basis.conj().T)[1].basis
     return q.conj().T @ _side_ops(alg, side) @ q
 
 
@@ -204,7 +205,7 @@ def maximality_direction_oracle(alg: FinDimAlgebra, i_sub: Subspace,
     if not is_ideal(alg, i_sub, side, tol) or i_sub.dim >= alg.dim:
         raise NotAProperIdeal("input is not a proper one-sided ideal")
     ops = _side_ops(alg, side)
-    q = rank_nullspace(i_sub.basis.conj().T, i_sub.tol)[1].basis  # I's complement
+    q = rank_nullspace(i_sub.basis.conj().T)[1].basis  # I's complement
     k = q.shape[1]
     weights = _MIX_RATIO ** np.arange(1, len(ops) + 1)
     mix = q.conj().T @ np.tensordot(weights, ops, axes=1) @ q
@@ -215,12 +216,12 @@ def maximality_direction_oracle(alg: FinDimAlgebra, i_sub: Subspace,
         _, right = rank_nullspace(theta, tol, atol=floor)
         _, left = rank_nullspace(theta.T, tol, atol=floor)
         for v in right.basis.T:
-            probe = Subspace(alg.dim, np.column_stack([i_sub.basis, q @ v]), tol)
-            if _closure(ops, probe).dim < alg.dim:
+            probe = Subspace(alg.dim, np.column_stack([i_sub.basis, q @ v]))
+            if _closure(ops, probe, tol).dim < alg.dim:
                 return False
         for u in left.basis.T:
-            probe = Subspace(alg.dim, (q.conj() @ u).reshape(-1, 1), tol)
-            if _closure(ops.transpose(0, 2, 1), probe).dim < k:
+            probe = Subspace(alg.dim, (q.conj() @ u).reshape(-1, 1))
+            if _closure(ops.transpose(0, 2, 1), probe, tol).dim < k:
                 return False
         certified = certified or right.dim == 1
     return True if certified else None

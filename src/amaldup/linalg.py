@@ -13,9 +13,12 @@ one triangular factor (sequential TSQR) and hands that factor to
 
 Conventions:
   * matrices are ``numpy`` arrays of ``complex128``;
-  * a :class:`Subspace` stores an orthonormal column basis;
+  * a :class:`Subspace` stores an orthonormal column basis and no tol;
   * all comparisons are made against an explicit ``tol`` argument
-    (default ``DEFAULT_TOL``); there is no hidden global epsilon.
+    (default ``DEFAULT_TOL``); there is no hidden global epsilon;
+  * the tolerance policy: every threshold elsewhere derives from the
+    caller's ``tol`` by :func:`check_bound`, the one pass/fail slack on
+    computed data, or :func:`cluster_gap`, the eigenvalue cluster gap.
 """
 
 from __future__ import annotations
@@ -30,6 +33,18 @@ DEFAULT_TOL = 1e-9
 # Fixed round-off bound on identities that hold exactly (associativity,
 # collapsing extended products, dual towers, multiplier round trips).
 IDENTITY_TOL = 1e-10
+
+
+def check_bound(tol: float, scale=1.0):
+    """Pass/fail slack ``10 tol max(1, scale)`` for a residual or match
+    distance on computed data; ``scale`` may be an array of scales."""
+    return 10 * tol * np.maximum(1.0, scale)
+
+
+def cluster_gap(tol: float, scale: float) -> float:
+    """Distance beyond which two computed eigenvalues of size up to
+    ``scale`` are distinct; a cluster's eigenvalues carry more error."""
+    return 1e3 * tol * scale
 
 
 def as_cmatrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -57,27 +72,22 @@ def as_cvector(entries, length: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^n via an orthonormal column basis.
-
-    ``basis`` has shape ``(ambient_dim, dim)``; ``tol`` records the
-    tolerance used at construction and is reused by membership tests.
-    """
+    """A subspace of C^n via an orthonormal ``(ambient_dim, dim)`` basis."""
 
     ambient_dim: int
     basis: np.ndarray = field(repr=False)
-    tol: float = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
     @staticmethod
-    def zero(ambient_dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
-        return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex), tol)
+    def zero(ambient_dim: int) -> "Subspace":
+        return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
 
     @staticmethod
-    def full(ambient_dim: int, tol: float = DEFAULT_TOL) -> "Subspace":
-        return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex), tol)
+    def full(ambient_dim: int) -> "Subspace":
+        return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
     @staticmethod
     def from_spanning(vectors, ambient_dim: int | None = None,
@@ -94,7 +104,7 @@ class Subspace:
             if len(vectors) == 0:
                 if ambient_dim is None:
                     raise ShapeError("empty span needs an explicit ambient_dim")
-                return Subspace.zero(ambient_dim, tol)
+                return Subspace.zero(ambient_dim)
             mat = np.column_stack([as_cvector(v) for v in vectors])
         else:
             mat = as_cmatrix(vectors)
@@ -102,9 +112,9 @@ class Subspace:
         if ambient_dim is not None and n != ambient_dim:
             raise ShapeError(f"vectors live in C^{n}, expected C^{ambient_dim}")
         if mat.size == 0:
-            return Subspace.zero(n, tol)
+            return Subspace.zero(n)
         u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        return Subspace(n, u[:, :_numerical_rank(s, tol, tol)], tol)
+        return Subspace(n, u[:, :_numerical_rank(s, tol, tol)])
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
@@ -112,10 +122,10 @@ class Subspace:
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (self.basis.conj().T @ as_cvector(v, self.ambient_dim))
 
-    def contains_vector(self, v: np.ndarray, tol: float | None = None) -> bool:
+    def contains_vector(self, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         v = as_cvector(v, self.ambient_dim)
         resid = np.linalg.norm(v - self.project(v))
-        return resid <= (self.tol if tol is None else tol) * max(1.0, np.linalg.norm(v))
+        return resid <= tol * max(1.0, np.linalg.norm(v))
 
     def residual(self, vectors) -> float:
         """Largest distance from the given vectors to this subspace."""
@@ -148,10 +158,10 @@ def rank_nullspace(m, tol: float = DEFAULT_TOL,
     """
     m = as_cmatrix(m)
     if m.size == 0:
-        return 0, Subspace.full(m.shape[1], tol) if m.shape[1] else Subspace.zero(0, tol)
+        return 0, Subspace.full(m.shape[1])
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     rank = _numerical_rank(s, tol, atol)
-    return rank, Subspace(m.shape[1], vh[rank:].conj().T, tol)
+    return rank, Subspace(m.shape[1], vh[rank:].conj().T)
 
 
 def _numerical_rank(s: np.ndarray, tol: float, atol: float) -> int:
@@ -219,30 +229,26 @@ def solve_affine(a, b, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     return x
 
 
-def subspace_sum(s1: Subspace, s2: Subspace, tol: float | None = None) -> Subspace:
+def subspace_sum(s1: Subspace, s2: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     _check_ambient(s1, s2)
-    t = s1.tol if tol is None else tol
-    return Subspace.from_spanning(np.hstack([s1.basis, s2.basis]), s1.ambient_dim, t)
+    return Subspace.from_spanning(np.hstack([s1.basis, s2.basis]), s1.ambient_dim, tol)
 
 
-def subspace_intersect(s1: Subspace, s2: Subspace, tol: float | None = None) -> Subspace:
+def subspace_intersect(s1: Subspace, s2: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Intersection via the joint kernel of the two complement projectors."""
     _check_ambient(s1, s2)
-    t = s1.tol if tol is None else tol
     eye = np.eye(s1.ambient_dim)
     stacked = np.vstack([eye - s1.projector(), eye - s2.projector()])
-    _, null = rank_nullspace(stacked, t)
-    return Subspace(s1.ambient_dim, null.basis, t)
+    return rank_nullspace(stacked, tol)[1]
 
 
-def subspace_contains(s1: Subspace, s2: Subspace, tol: float | None = None) -> bool:
+def subspace_contains(s1: Subspace, s2: Subspace, tol: float = DEFAULT_TOL) -> bool:
     """True when ``s2`` is contained in ``s1`` (residual test at tol)."""
     _check_ambient(s1, s2)
-    t = s1.tol if tol is None else tol
-    return s1.residual(s2.basis) <= t
+    return s1.residual(s2.basis) <= tol
 
 
-def subspace_equal(s1: Subspace, s2: Subspace, tol: float | None = None) -> bool:
+def subspace_equal(s1: Subspace, s2: Subspace, tol: float = DEFAULT_TOL) -> bool:
     return subspace_contains(s1, s2, tol) and subspace_contains(s2, s1, tol)
 
 

@@ -23,7 +23,7 @@ from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
                     BlockQuadruple, DualActionBlocks, algebra_bimodule,
                     block_nullspace, block_residuals)
 from .errors import DecompositionDefect, ShapeError
-from .linalg import DEFAULT_TOL, Subspace, _streamed_nullspace
+from .linalg import DEFAULT_TOL, Subspace, _streamed_nullspace, check_bound
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def decompose_multiplier(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
 
     ``t_op`` may be a stack of operators along a leading axis: the
     identities are then stated once and each operator is held to its own
-    bound ``10 tol max(1, max|T|)``.
+    bound ``check_bound(tol, max|T|)``.
     """
     da, df = a.dim, f.dim
     t_op = np.asarray(t_op, dtype=complex)
@@ -112,7 +112,7 @@ def decompose_multiplier(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction
     defects = block_residuals(multiplier_identities(a, f, act), q.blocks)
     worst = np.max(list(defects.values()), axis=0)
     scale = np.max(np.abs(t_op), axis=(-2, -1), initial=0.0)
-    if np.any(worst > 10 * tol * np.maximum(1.0, scale)):
+    if np.any(worst > check_bound(tol, scale)):
         bad = max(defects, key=lambda name: np.max(defects[name]))
         raise DecompositionDefect(f"multiplier block identity {bad!r} fails "
                                   f"with defect {np.max(worst):.3g}")
@@ -155,9 +155,9 @@ def corollary_form_check(dup: Duplication,
     lm_a = left_multiplier_space(a, tol)
     t_ops = space.basis.T.reshape(-1, dup.dim, dup.dim)
     q = decompose_multiplier(a, f, act, t_ops, tol)
-    scale = np.maximum(1.0, np.max(np.abs(t_ops), axis=(1, 2), initial=0.0))
+    scale = np.max(np.abs(t_ops), axis=(1, 2), initial=0.0)
     ok = bool(np.all(np.max(np.abs(q.t2_a), axis=(1, 2), initial=0.0)
-                     <= 10 * tol * scale))
-    ok = ok and all(lm_a.contains_vector(t1_a.reshape(-1), 10 * tol)
+                     <= check_bound(tol, scale)))
+    ok = ok and all(lm_a.contains_vector(t1_a.reshape(-1), check_bound(tol))
                     for t1_a in q.t1_a)
     return CorollaryReport(True, ok)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import (BimoduleAction, FinDimAlgebra, direct_sum,
-                      homomorphism_action, validate_action, validate_algebra)
+from .algebra import (BimoduleAction, FinDimAlgebra, direct_sum, homomorphism_action,
+                      lau_action, validate_action, validate_algebra)
 from .linalg import DEFAULT_TOL, Subspace, rank_nullspace, subspace_sum
 
 
@@ -276,10 +276,9 @@ def _draw_action(a_core: Core, f_core: Core, rng, symmetric: bool, mode: int):
         return BimoduleAction.zero(da, df), "zero"
     if mode == 1 and f_core.characters:
         theta = f_core.characters[rng.integers(len(f_core.characters))]
-        eye = np.eye(da)
-        left = np.einsum("p,ik->pik", theta, eye)
-        right = np.einsum("p,ik->ipk", theta, eye)
-        return BimoduleAction(left, right), "character_scaled"
+        act = lau_action(FinDimAlgebra.from_mult(a_core.mult),
+                         FinDimAlgebra.from_mult(f_core.mult), theta)
+        return act, "character_scaled"
     if mode == 2 and f_core.characters and a_core.idempotents \
             and (a_core.commutative or not symmetric):
         theta = f_core.characters[rng.integers(len(f_core.characters))]
@@ -318,7 +317,7 @@ def random_left_ideal(rng: np.random.Generator, alg: FinDimAlgebra,
         return null
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return subspace_sum(Subspace.from_spanning(op, n, tol),
-                        Subspace.from_spanning(alg.right_op(y), n, tol))
+                        Subspace.from_spanning(alg.right_op(y), n, tol), tol)
 
 
 def shrink_triple(a, f, act, recipe: TripleRecipe, still_fails) -> tuple:

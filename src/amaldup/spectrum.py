@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BimoduleAction, Duplication, FinDimAlgebra, join_element
+from .algebra import (BimoduleAction, Duplication, FinDimAlgebra, join_element,
+                      multiplicativity_defect)
 from .errors import (CommutativityRequired, DegenerateSpectrum, NotACharacter,
                      IncompatibleAction, SpectrumTheoremViolation)
-from .linalg import DEFAULT_TOL, Subspace, as_cvector, rank_nullspace
+from .linalg import (DEFAULT_TOL, Subspace, as_cvector, check_bound, cluster_gap,
+                     rank_nullspace)
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,6 @@ class Character:
 
     def __call__(self, x) -> complex:
         return complex(self.phi @ as_cvector(x, self.phi.size))
-
-
-def multiplicativity_defect(alg: FinDimAlgebra, chi: np.ndarray) -> float:
-    """max_ij |chi(e_i e_j) - chi(e_i) chi(e_j)|."""
-    chi = as_cvector(chi, alg.dim)
-    values = np.einsum("ijk,k->ij", alg.mult, chi)
-    return float(np.max(np.abs(values - np.outer(chi, chi))))
 
 
 def characters(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> list[Character]:
@@ -93,7 +88,7 @@ def _split(op: np.ndarray, piece: np.ndarray, tol: float) -> list[np.ndarray]:
     scale = max(1.0, float(np.max(np.abs(lams))))
     clusters: list[complex] = []
     for lam in lams:
-        if all(abs(lam - c) > 1e3 * tol * scale for c in clusters):
+        if all(abs(lam - c) > cluster_gap(tol, scale) for c in clusters):
             clusters.append(complex(lam))
     if len(clusters) == 1:
         return [piece]
@@ -114,11 +109,11 @@ def _accept_candidate(alg, chi, tol) -> bool:
     near-zero covectors on a nilpotent algebra can look multiplicative
     to absurd precision while approximating only the excluded zero
     functional.  A candidate therefore must (a) sit clearly above the
-    set-matching scale ``10 tol`` and (b) keep its defect small relative
-    to its own size.
+    set-matching scale ``check_bound(tol)`` and (b) keep its defect small
+    relative to its own size.
     """
     size = float(np.max(np.abs(chi)))
-    if size <= 10 * tol:
+    if size <= check_bound(tol):
         return False  # indistinguishable from the zero functional
     return multiplicativity_defect(alg, chi) <= tol * max(1.0, size) * size
 
@@ -140,7 +135,7 @@ def radical_subspace(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subspace:
 
 def _record(found: list[np.ndarray], chi: np.ndarray, tol: float) -> None:
     for known in found:
-        if np.max(np.abs(known - chi)) <= 10 * tol:
+        if np.max(np.abs(known - chi)) <= check_bound(tol):
             return
     found.append(chi)
 
@@ -186,7 +181,7 @@ def tilde(phi: Character | np.ndarray, a: FinDimAlgebra, f: FinDimAlgebra,
         _, ker = rank_nullspace(vec.reshape(1, -1), tol)
         a1 = a0 + ker.basis @ np.ones(ker.dim)
         out2 = np.einsum("i,pik,k->p", a1, act.left, vec)
-        if np.max(np.abs(out - out2)) > 10 * tol * max(1.0, np.max(np.abs(out))):
+        if np.max(np.abs(out - out2)) > check_bound(tol, np.max(np.abs(out))):
             raise IncompatibleAction(
                 "companion functional depends on the normalizing element")
 
@@ -196,11 +191,11 @@ def tilde(phi: Character | np.ndarray, a: FinDimAlgebra, f: FinDimAlgebra,
     expected = np.outer(out, vec)
     defect = max(float(np.max(np.abs(left_vals - expected))),
                  float(np.max(np.abs(right_vals - expected))))
-    if defect > 10 * tol:
+    if defect > check_bound(tol):
         raise IncompatibleAction(
             f"companion identity fails with defect {defect:.3g}")
 
-    if np.max(np.abs(out)) > tol and multiplicativity_defect(f, out) > 10 * tol:
+    if np.max(np.abs(out)) > tol and multiplicativity_defect(f, out) > check_bound(tol):
         raise IncompatibleAction("companion functional is neither zero "
                                  "nor multiplicative")
     return out
@@ -219,7 +214,7 @@ def duplication_spectrum(dup: Duplication, tol: float = DEFAULT_TOL,
     with a validating :func:`duplicate`.
     """
     if match_tol is None:
-        match_tol = 10 * tol
+        match_tol = check_bound(tol)
     a, f, act = dup.a, dup.f, dup.act
     e_list = []
     for phi in characters(a, tol):

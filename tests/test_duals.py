@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amaldup.algebra import duplicate, natural_action
+from amaldup.algebra import duplicate
 from amaldup.duals import (arens_action_extensions, arens_products,
                            assemble_duplication_dual, canonical_embedding,
                            duplication_dual_blocks, duplication_nth_dual,
@@ -148,22 +148,25 @@ class TestEmbedding:
         assert np.array_equal(canonical_embedding(alg, v), v)
 
 
+ESSENTIALITY_MODES = ("algebra_left", "algebra_right")
+
+
 class TestEssentiality:
     def test_unital_always_essential(self, lau_unital):
         a, f, act = lau_unital
-        for n in (0, 2):
-            assert essentiality(a, f, act, n, "algebra_left")
-            assert essentiality(a, f, act, n, "algebra_right")
+        for n in (0, 1, 2):
+            for mode in ESSENTIALITY_MODES:
+                assert essentiality(a, f, act, n, mode)
 
-    def test_zero_product_not_essential(self, zero_pair):
-        a, f, act = zero_pair
-        assert not essentiality(a, f, act, 0, "algebra_left")
+    def test_zero_product_not_essential(self, zero_pair, module_extension,
+                                        triangular):
+        # each first factor has the zero product (triangular: the corner M)
+        for a, f, act in (zero_pair, module_extension, triangular):
+            for n in (0, 1, 2):
+                for mode in ESSENTIALITY_MODES:
+                    assert not essentiality(a, f, act, n, mode)
 
-    def test_identity_action_essential(self, module_extension):
-        a, f, act = module_extension
-        assert essentiality(a, f, act, 0, "action_right")
-        assert not essentiality(a, f, act, 0, "algebra_left")
-
-    def test_natural_action_mode(self):
-        alg = pointwise_algebra(2)
-        assert essentiality(alg, alg, natural_action(alg), 2, "action_left")
+    @pytest.mark.parametrize("mode", ["action_left", "action_right", "left"])
+    def test_unknown_mode_raises(self, lau_unital, mode):
+        with pytest.raises(ValueError, match="unknown mode"):
+            essentiality(*lau_unital, 0, mode)

@@ -1,7 +1,12 @@
+import re
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import amaldup
 from amaldup.errors import InvalidMatrix, ShapeError
 from amaldup.linalg import (_FOLD_ROWS_PER_COL, Subspace, _streamed_nullspace,
                             rank_nullspace, solve_affine, subspace_contains,
@@ -234,3 +239,37 @@ class TestSubspace:
         inter = subspace_intersect(s1, s2)
         assert subspace_contains(s1, inter, 1e-8)
         assert subspace_contains(s2, inter, 1e-8)
+
+
+def tolerance_arithmetic(package_dir: Path) -> list[str]:
+    """``file:line`` of each literal that multiplies a tol, and of each
+    float literal with a negative exponent, outside linalg.py."""
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+               tokenize.INDENT, tokenize.DEDENT}
+    hits = []
+    for path in sorted(package_dir.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        with tokenize.open(path) as fh:
+            toks = [t for t in tokenize.generate_tokens(fh.readline)
+                    if t.type not in skipped]
+        for i, tok in enumerate(toks):
+            after = [t.string for t in toks[i + 1:i + 5]]
+            if tok.type == tokenize.NUMBER and (
+                    re.search(r"[eE]-", tok.string) or after[:2] == ["*", "tol"]
+                    or after == ["*", "args", ".", "tol"]):
+                hits.append(f"{path.name}:{tok.start[0]}")
+    return hits
+
+
+class TestTolerancePolicy:
+    def test_thresholds_are_derived_in_linalg(self):
+        # every other module states its slack through check_bound or
+        # cluster_gap, never as a multiple of tol or a bare epsilon
+        assert tolerance_arithmetic(Path(amaldup.__file__).parent) == []
+
+    def test_membership_decided_at_the_given_tol(self):
+        # a subspace keeps no tol: without one, membership is decided at
+        # DEFAULT_TOL and not at the tol the span was built with
+        span = Subspace.from_spanning([[1, 0]], 2, tol=1e-3)
+        assert not span.contains_vector([1, 1e-6])
