@@ -27,8 +27,8 @@ from .derivations import (CohomologyReport, DerivationQuadruple, cohomology,
                           module_derivation_space, property_h,
                           weak_amenability)
 from .duals import (ArensStructure, DualBimodule, arens_products,
-                    canonical_embedding, duplication_nth_dual, essentiality,
-                    nth_dual_bimodule, topological_centres)
+                    duplication_nth_dual, essentiality, nth_dual_bimodule,
+                    topological_centres)
 from .ideals import (ideal_generated, is_ideal, is_maximal_left_ideal,
                      product_ideal_test, project_components)
 from .linalg import (Subspace, rank_nullspace, solve_affine, subspace_contains,

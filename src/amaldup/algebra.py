@@ -28,6 +28,17 @@ from .errors import (IncompatibleAction, MissingAction, NotACharacter,
 from .linalg import DEFAULT_TOL, Subspace, as_cvector, solve_affine
 
 
+def left_family(tensor: np.ndarray) -> np.ndarray:
+    """Operators ``y -> t(x, y)`` of a product or action tensor ``t[x, y, k]``,
+    one per basis x: ``ops[x][k, y] = t[x, y, k]``."""
+    return np.transpose(tensor, (0, 2, 1))
+
+
+def right_family(tensor: np.ndarray) -> np.ndarray:
+    """Operators ``x -> t(x, y)``, one per basis y: ``ops[y][k, x] = t[x, y, k]``."""
+    return np.transpose(tensor, (1, 2, 0))
+
+
 @dataclass(frozen=True)
 class FinDimAlgebra:
     """An algebra over C given by basis labels and a multiplication tensor.

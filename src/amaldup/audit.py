@@ -263,7 +263,7 @@ class _Premises:
         self.cyclic = functools.cache(lambda name: cyclic_amenability(algs[name], tol))
         self.extends = functools.cache(lambda: property_h(a, f, act, 0, tol))
         self.squares_full = lambda: span_products(a, "squares", tol=tol).dim == a.dim
-        self.essential = lambda: any(essentiality(a, f, act, 2, side, tol)
+        self.essential = lambda: any(essentiality(a, 2, side, tol)
                                      for side in ("algebra_left", "algebra_right"))
 
     def weak(self, name, level):

@@ -85,7 +85,7 @@ def _load_json(text):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"bundle is not valid UTF-8: {exc}") from None
+            raise ParseError(f"input is not valid UTF-8: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from . import audit as audit_mod
 from .algebra import (Duplication, duplicate, span_products, validate_action,
                       validate_algebra)
-from .bundles import AlgebraBundle, algebra_to_obj, parse_bundle
+from .bundles import AlgebraBundle, _load_json, algebra_to_obj, parse_bundle
 from .derivations import (cohomology, cyclic_cohomology,
                           derivation_quadruple_space, derivation_space,
                           property_h)
@@ -29,7 +29,7 @@ from .ideals import is_ideal, product_ideal_test, project_components
 from .linalg import DEFAULT_TOL, IDENTITY_TOL, Subspace, check_bound
 from .multipliers import (corollary_form_check, left_multiplier_space,
                           quadruple_space)
-from .spectrum import duplication_spectrum, gelfand_semisimple
+from .spectrum import duplication_spectrum, first_match, gelfand_semisimple
 
 
 def main(argv=None) -> int:
@@ -106,11 +106,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomized audit of the structure theorems")
     p.add_argument("bundle", nargs="?",
                    help="optional bundle to include as a deterministic case")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50,
+                   help="random triples per audit family, at least 1")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the randomized audit")
     p.set_defaults(handler=cmd_check)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _row(check_id, status, defect=None, value=None, witness=None):
@@ -175,9 +183,9 @@ def cmd_spectrum(args):
     rows = [_row("character-count", "info", value=len(sigma))]
     match = check_bound(args.tol)  # the tolerance duplication_spectrum matched at
     for k, chi in enumerate(sigma):
-        if any(np.max(np.abs(chi - e)) <= match for e in e_list):
+        if first_match(chi, e_list, match) is not None:
             family = "A-lifted"
-        elif any(np.max(np.abs(chi - f)) <= match for f in f_list):
+        elif first_match(chi, f_list, match) is not None:
             family = "F-lifted"
         else:
             family = "unmatched"
@@ -208,12 +216,24 @@ def cmd_semisimple(args):
 
 
 def _load_subspace(path, ambient, tol) -> Subspace:
+    """The span of a JSON object's ``vectors``, each a list of ``ambient``
+    ``[re, im]`` pairs."""
     with open(path, "rb") as fh:
-        obj = json.loads(fh.read().decode("utf-8"))
-    vectors = []
-    for vec in obj.get("vectors", []):
-        vectors.append(np.array([complex(p[0], p[1]) for p in vec]))
-    return Subspace.from_spanning(vectors, ambient, tol)
+        obj = _load_json(fh.read())
+    vectors = obj.get("vectors", []) if isinstance(obj, dict) else None
+    if not isinstance(vectors, list):
+        raise ParseError("subspace must be a JSON object with a 'vectors' list")
+    out = []
+    for pos, vec in enumerate(vectors):
+        where = f"vectors[{pos}]"
+        if not (isinstance(vec, list) and len(vec) == ambient
+                and all(isinstance(p, list) and len(p) == 2 for p in vec)):
+            raise ParseError(f"{where} must list {ambient} [re, im] pairs")
+        try:
+            out.append(np.array([complex(float(re), float(im)) for re, im in vec]))
+        except (TypeError, ValueError):
+            raise ParseError(f"{where} has non-numeric content") from None
+    return Subspace.from_spanning(out, ambient, tol)
 
 
 def cmd_ideals(args):
@@ -325,7 +345,7 @@ def cmd_amenability(args):
                          value=reports[tag, 1].cyclically_amenable))
     rows.append(_row("hypothesis-flags", "info", value={
         "squares-span-a": span_products(a, "squares", tol=args.tol).dim == a.dim,
-        "essential-level-2": essentiality(a, f, act, 2, "algebra_left", args.tol),
+        "essential-level-2": essentiality(a, 2, "algebra_left", args.tol),
         "extension-property-level-1": property_h(a, f, act, 0, args.tol)}))
     return rows
 

@@ -3,40 +3,51 @@
 Everything here works in coordinates with the bilinear pairing
 ``<x', x> = sum_i x'_i x_i``, under which the n-th dual of C^d is C^d
 again and dualizing an operator is a plain (unconjugated) transpose.
+Three rules build everything below, each stated once:
 
-A bilinear map ``m: X x Y -> Z`` is a 3-tensor ``m[a, b, c]``.  Its two
-extension adjoints are pure axis permutations:
+1. The operator convention: a product or action tensor ``t[x, y, k]``
+   has the left family ``y -> t(x, y)`` and the right family
+   ``x -> t(x, y)``, the axis permutations
+   :func:`~amaldup.algebra.left_family` and
+   :func:`~amaldup.algebra.right_family`.
 
-    first_adjoint(m):  Z' x X -> Y'   <m*(z', x), y> = <z', m(x, y)>
-    second_adjoint(m): Y x Z' -> X'   <m~(y, z'), x> = <z', m(x, y)>
+2. The parity rule, :func:`_dual_pair`: dualizing a bimodule swaps and
+   transposes its families,
 
-Iterating ``first_adjoint`` three times on a multiplication tensor is the
-literal three-step construction of the first extended product on the
-second dual; ``second_adjoint`` gives the second one.  Both return to the
-original tensor, which is the coordinate form of reflexivity: the two
-extended products coincide in finite dimension, and the tests pin that
-down to 1e-10.
+       L_{n+1}(c) = R_n(c)^T,   R_{n+1}(c) = L_n(c)^T,
 
-The same permutations drive the dual tower of a bimodule,
+   so dualizing twice returns the same arrays, and level n is level 0's
+   (left, right) at even n and (right^T, left^T) at odd n.  The tower of
+   an algebra (:func:`nth_dual_bimodule`) and all four family pairs of a
+   duplication's blockwise tower (:func:`duplication_dual_blocks`) read
+   it; n is kept only as the label.
 
-    L_{n+1}(c) = R_n(c)^T,   R_{n+1}(c) = L_n(c)^T,
+3. The three-step extension, :func:`_extensions`.  A bilinear map
+   ``m: X x Y -> Z`` is a 3-tensor ``m[a, b, c]`` whose two adjoints are
+   pure axis permutations:
 
-and the blockwise tower of a duplication, whose mixing blocks swap sides
-with the parity of the level.  Dualizing twice returns the same arrays,
-so both towers build level n from n mod 2 and keep n only as its label.
+       first_adjoint(m):  Z' x X -> Y'   <m*(z', x), y> = <z', m(x, y)>
+       second_adjoint(m): Y x Z' -> X'   <m~(y, z'), x> = <z', m(x, y)>
+
+   Iterating one three times is the literal construction of the first
+   (or second) extension on second duals.  Both return to the original
+   tensor, the coordinate form of reflexivity, and :func:`_extensions`
+   raises :class:`ArensDefect` when either does not.  Products and both
+   actions of a duplication are extended by it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import BimoduleAction, Duplication, FinDimAlgebra, duplicate
+from .algebra import (BimoduleAction, Duplication, FinDimAlgebra, duplicate,
+                      left_family, right_family)
 from .errors import ArensDefect, InternalInconsistency
 from .ideals import block_subspace
-from .linalg import (DEFAULT_TOL, IDENTITY_TOL, Subspace, as_cvector, check_bound,
+from .linalg import (DEFAULT_TOL, IDENTITY_TOL, Subspace, check_bound,
                      rank_nullspace, subspace_equal, subspace_intersect)
 
 
@@ -46,6 +57,19 @@ def first_adjoint(tensor: np.ndarray) -> np.ndarray:
 
 def second_adjoint(tensor: np.ndarray) -> np.ndarray:
     return np.transpose(tensor, (1, 2, 0))
+
+
+def _extensions(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both three-step extensions of a bilinear map, checked to collapse
+    onto it; disagreement indicates a bug, not a property of the input."""
+    first = first_adjoint(first_adjoint(first_adjoint(tensor)))
+    second = second_adjoint(second_adjoint(second_adjoint(tensor)))
+    defect = max(float(np.max(np.abs(ext - tensor), initial=0.0))
+                 for ext in (first, second))
+    if defect > IDENTITY_TOL:
+        raise ArensDefect(f"extensions differ from the original tensor "
+                          f"by {defect:.3g}")
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -61,27 +85,23 @@ class DualBimodule:
         return self.left_ops.shape[1]
 
 
-def _transposed(family: np.ndarray) -> np.ndarray:
-    """Each operator of a family, transposed: its action on the dual."""
-    return np.transpose(family, (0, 2, 1))
-
-
-def algebra_bimodule(alg: FinDimAlgebra) -> DualBimodule:
-    """The algebra acting on itself (level 0)."""
-    left = np.transpose(alg.mult, (0, 2, 1))   # L(e_i)[k, j] = mult[i, j, k]
-    right = np.transpose(alg.mult, (1, 2, 0))  # R(e_j)[k, i] = mult[i, j, k]
-    return DualBimodule(0, left, right)
+def _dual_pair(left_tensor: np.ndarray, right_tensor: np.ndarray,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (left, right) families at level n of the left family of one
+    tensor and the right family of another: as they are at even n,
+    swapped at odd n with each operator transposed, its action on the
+    dual."""
+    if n < 0:
+        raise ValueError("dual level must be nonnegative")
+    left, right = left_family(left_tensor), right_family(right_tensor)
+    if n % 2 == 0:
+        return left, right
+    return np.transpose(right, (0, 2, 1)), np.transpose(left, (0, 2, 1))
 
 
 def nth_dual_bimodule(alg: FinDimAlgebra, n: int) -> DualBimodule:
-    """Action operators on the n-th dual: level 0's at even n; at odd n
-    the transposed right operators act on the left and vice versa."""
-    if n < 0:
-        raise ValueError("dual level must be nonnegative")
-    bim = algebra_bimodule(alg)
-    if n % 2 == 0:
-        return replace(bim, level=n)
-    return DualBimodule(n, _transposed(bim.right_ops), _transposed(bim.left_ops))
+    """The algebra acting on its own n-th dual."""
+    return DualBimodule(n, *_dual_pair(alg.mult, alg.mult, n))
 
 
 @dataclass(frozen=True)
@@ -95,22 +115,8 @@ class ArensStructure:
 
 
 def arens_products(alg: FinDimAlgebra) -> ArensStructure:
-    """Both three-step extended products on the second dual.
-
-    Each is evaluated literally by iterating its adjoint three times, and
-    both are asserted equal to the original multiplication tensor (the
-    finite-dimensional collapse); disagreement raises :class:`ArensDefect`
-    and indicates a bug, not a property of the input.
-    """
-    m = alg.mult
-    first = first_adjoint(first_adjoint(first_adjoint(m)))
-    second = second_adjoint(second_adjoint(second_adjoint(m)))
-    d1 = float(np.max(np.abs(first - m))) if m.size else 0.0
-    d2 = float(np.max(np.abs(second - m))) if m.size else 0.0
-    if max(d1, d2) > IDENTITY_TOL:
-        raise ArensDefect(f"extended products differ from the original "
-                          f"tensor by {max(d1, d2):.3g}")
-    return ArensStructure(first, second)
+    """Both three-step extended products on the second dual."""
+    return ArensStructure(*_extensions(alg.mult))
 
 
 def arens_action_extensions(dup: Duplication) -> ArensStructure:
@@ -118,33 +124,22 @@ def arens_action_extensions(dup: Duplication) -> ArensStructure:
 
     The first-convention extension of the right action sends
     ``A'' x F'' -> A''`` and of the left action ``F'' x A'' -> A''``; the
-    second-convention ones likewise.  All four are computed by literal
-    triple adjoints and verified to collapse onto the original tensors.
+    second-convention ones likewise.
     """
-    act = dup.act
-    base = arens_products(dup)
-    bullet = BimoduleAction(
-        first_adjoint(first_adjoint(first_adjoint(act.left))),
-        first_adjoint(first_adjoint(first_adjoint(act.right))))
-    black = BimoduleAction(
-        second_adjoint(second_adjoint(second_adjoint(act.left))),
-        second_adjoint(second_adjoint(second_adjoint(act.right))))
-    defect = max(float(np.max(np.abs(ext - orig), initial=0.0))
-                 for ext, orig in ((bullet.left, act.left), (bullet.right, act.right),
-                                   (black.left, act.left), (black.right, act.right)))
-    if defect > IDENTITY_TOL:
-        raise ArensDefect(f"extended actions differ from the originals by {defect:.3g}")
-    return ArensStructure(base.first, base.second, bullet, black)
+    left_first, left_second = _extensions(dup.act.left)
+    right_first, right_second = _extensions(dup.act.right)
+    return ArensStructure(*_extensions(dup.mult),
+                          BimoduleAction(left_first, right_first),
+                          BimoduleAction(left_second, right_second))
 
 
 def second_dual_duplication_defect(dup: Duplication) -> float:
     """Gap between the dup's extended product and the dup of the extensions."""
-    direct = arens_products(dup).first
     ext = arens_action_extensions(dup)
     a2 = FinDimAlgebra.from_mult(arens_products(dup.a).first, dup.a.labels)
     f2 = FinDimAlgebra.from_mult(arens_products(dup.f).first, dup.f.labels)
     assembled = duplicate(a2, f2, ext.bullet, validate=False)
-    return float(np.max(np.abs(direct - assembled.mult)))
+    return float(np.max(np.abs(ext.first - assembled.mult)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,62 +167,34 @@ class DualActionBlocks:
     mix_left: np.ndarray = field(repr=False)
     mix_right: np.ndarray = field(repr=False)
 
-    @staticmethod
-    def level0(a: FinDimAlgebra, f: FinDimAlgebra,
-               act: BimoduleAction) -> "DualActionBlocks":
-        return DualActionBlocks(
-            level=0,
-            a_left=np.transpose(a.mult, (0, 2, 1)),
-            a_right=np.transpose(a.mult, (1, 2, 0)),
-            f_left=np.transpose(f.mult, (0, 2, 1)),
-            f_right=np.transpose(f.mult, (1, 2, 0)),
-            act_left=np.transpose(act.left, (0, 2, 1)),
-            act_right=np.transpose(act.right, (1, 2, 0)),
-            mix_left=np.transpose(act.right, (0, 2, 1)),   # a acting on F-dual
-            mix_right=np.transpose(act.left, (1, 2, 0)))
-
 
 def duplication_dual_blocks(a: FinDimAlgebra, f: FinDimAlgebra,
                             act: BimoduleAction, n: int) -> DualActionBlocks:
-    """The level-n families: level 0's at even n; at odd n every left/right
-    pair swapped and transposed, as in :func:`nth_dual_bimodule`."""
-    if n < 0:
-        raise ValueError("dual level must be nonnegative")
-    b = DualActionBlocks.level0(a, f, act)
-    if n % 2 == 0:
-        return replace(b, level=n)
-    t = _transposed
-    return DualActionBlocks(
-        level=n,
-        a_left=t(b.a_right), a_right=t(b.a_left),
-        f_left=t(b.f_right), f_right=t(b.f_left),
-        act_left=t(b.act_right), act_right=t(b.act_left),
-        mix_left=t(b.mix_right), mix_right=t(b.mix_left))
+    """The level-n families, each pair by the parity rule.  At level 0 the
+    mixing families are a acting on F by ``a . f`` (left) and ``f . a``
+    (right)."""
+    return DualActionBlocks(n, *_dual_pair(a.mult, a.mult, n),
+                            *_dual_pair(f.mult, f.mult, n),
+                            *_dual_pair(act.left, act.right, n),
+                            *_dual_pair(act.right, act.left, n))
 
 
 def assemble_duplication_dual(blocks: DualActionBlocks) -> DualBimodule:
     """Glue the block families into operators on the duplication's dual."""
-    da = blocks.a_left.shape[0]
-    df = blocks.f_left.shape[0]
-    n = da + df
+    b = blocks
+    da = b.a_left.shape[0]
+    n = da + b.f_left.shape[0]
+    on_a, on_f = slice(None, da), slice(da, None)
+    mix = (on_a, on_f) if b.level % 2 == 0 else (on_f, on_a)
+    places = ((on_a, on_a, on_a), (on_a, *mix), (on_f, on_a, on_a),
+              (on_f, on_f, on_f))
     left = np.zeros((n, n, n), dtype=complex)
     right = np.zeros((n, n, n), dtype=complex)
-    even = blocks.level % 2 == 0
-    for j in range(da):
-        left[j, :da, :da] = blocks.a_left[j]
-        right[j, :da, :da] = blocks.a_right[j]
-        if even:
-            left[j, :da, da:] = blocks.mix_left[j]
-            right[j, :da, da:] = blocks.mix_right[j]
-        else:
-            left[j, da:, :da] = blocks.mix_left[j]
-            right[j, da:, :da] = blocks.mix_right[j]
-    for p in range(df):
-        left[da + p, :da, :da] = blocks.act_left[p]
-        right[da + p, :da, :da] = blocks.act_right[p]
-        left[da + p, da:, da:] = blocks.f_left[p]
-        right[da + p, da:, da:] = blocks.f_right[p]
-    return DualBimodule(blocks.level, left, right)
+    for ops, families in ((left, (b.a_left, b.mix_left, b.act_left, b.f_left)),
+                          (right, (b.a_right, b.mix_right, b.act_right, b.f_right))):
+        for place, family in zip(places, families):
+            ops[place] = family
+    return DualBimodule(b.level, left, right)
 
 
 def duplication_nth_dual(dup: Duplication, n: int) -> DualBimodule:
@@ -443,7 +410,7 @@ def block_nullspace(identities, layout: BlockLayout,
 
 
 # ---------------------------------------------------------------------------
-# topological centres, embedding, essentiality
+# topological centres, essentiality
 
 
 def _centre_of_difference(diff: np.ndarray, over: str,
@@ -475,13 +442,12 @@ def topological_centres(dup: Duplication,
     """
     ext = arens_action_extensions(dup)
 
-    def centre(alg: FinDimAlgebra) -> Subspace:
-        st = arens_products(alg)
+    def centre(st: ArensStructure) -> Subspace:
         return _centre_of_difference(st.first - st.second, "first", tol)
 
-    zt_dup = centre(dup)
-    zt_a = centre(dup.a)
-    zt_f = centre(dup.f)
+    zt_dup = centre(ext)
+    zt_a = centre(arens_products(dup.a))
+    zt_f = centre(arens_products(dup.f))
     z_f_on_a = _centre_of_difference(ext.bullet.right - ext.blacktriangle.right,
                                      "first", tol)
     z_a_on_f = _centre_of_difference(ext.bullet.left - ext.blacktriangle.left,
@@ -496,13 +462,7 @@ def topological_centres(dup: Duplication,
             "Z_F_on_A": z_f_on_a, "Z_A_on_F": z_a_on_f}
 
 
-def canonical_embedding(alg: FinDimAlgebra, x) -> np.ndarray:
-    """Embedding into the second dual; the identity on coordinates."""
-    return as_cvector(x, alg.dim).copy()
-
-
-def essentiality(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
-                 n: int, mode: str = "algebra_left",
+def essentiality(a: FinDimAlgebra, n: int, mode: str = "algebra_left",
                  tol: float = DEFAULT_TOL) -> bool:
     """Whether basis actions span the full n-th dual of A.
 
@@ -511,8 +471,8 @@ def essentiality(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     """
     if mode not in ("algebra_left", "algebra_right"):
         raise ValueError(f"unknown mode {mode!r}")
-    blocks = duplication_dual_blocks(a, f, act, n)
-    ops = blocks.a_left if mode == "algebra_left" else blocks.a_right
+    bim = nth_dual_bimodule(a, n)
+    ops = bim.left_ops if mode == "algebra_left" else bim.right_ops
     da = a.dim
     vectors = np.transpose(ops, (1, 0, 2)).reshape(da, -1)
     rank, _ = rank_nullspace(vectors.T, tol)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BimoduleAction, Duplication, FinDimAlgebra
+from .algebra import (BimoduleAction, Duplication, FinDimAlgebra, left_family,
+                      right_family)
 from .errors import NotAProperIdeal, ShapeError
 from .linalg import DEFAULT_TOL, Subspace, rank_nullspace
 
@@ -51,10 +52,8 @@ def _pick_side(left: np.ndarray, right: np.ndarray, side: str) -> np.ndarray:
 
 
 def _side_ops(alg: FinDimAlgebra, side: str) -> np.ndarray:
-    """Stacked basis multiplication operators, as ``duals.algebra_bimodule``."""
-    return _pick_side(np.transpose(alg.mult, (0, 2, 1)),   # L(e_i)[k, j]
-                      np.transpose(alg.mult, (1, 2, 0)),   # R(e_j)[k, i]
-                      side)
+    """Stacked basis multiplication operators, the level-0 families."""
+    return _pick_side(left_family(alg.mult), right_family(alg.mult), side)
 
 
 def ideal_defect(alg: FinDimAlgebra, s: Subspace, side: str = "left") -> float:
@@ -71,9 +70,7 @@ def is_ideal(alg: FinDimAlgebra, s: Subspace, side: str = "left",
 
 def submodule_defect(act: BimoduleAction, s: Subspace, side: str = "left") -> float:
     """Distance of F-action images of the subspace from the subspace."""
-    ops = _pick_side(np.transpose(act.left, (0, 2, 1)),    # (beta_p . x)[k, i]
-                     np.transpose(act.right, (1, 2, 0)),   # (x . beta_p)[k, i]
-                     side)
+    ops = _pick_side(left_family(act.left), right_family(act.right), side)
     return s.residual(np.concatenate(ops @ s.basis, axis=1))
 
 

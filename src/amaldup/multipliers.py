@@ -20,8 +20,8 @@ import numpy as np
 
 from .algebra import BimoduleAction, Duplication, FinDimAlgebra, span_products
 from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
-                    BlockQuadruple, DualActionBlocks, algebra_bimodule,
-                    block_nullspace, block_residuals)
+                    BlockQuadruple, block_nullspace, block_residuals,
+                    duplication_dual_blocks, nth_dual_bimodule)
 from .errors import DecompositionDefect, ShapeError
 from .linalg import DEFAULT_TOL, Subspace, _streamed_nullspace, check_bound
 
@@ -62,7 +62,7 @@ def multiplier_space(alg: FinDimAlgebra, side: str = "left",
     """Operators commuting with all left (or right) multiplications."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    bim = algebra_bimodule(alg)
+    bim = nth_dual_bimodule(alg, 0)
     ops = bim.left_ops if side == "left" else bim.right_ops
     _, null = _streamed_nullspace(_commutant_blocks(ops), alg.dim * alg.dim, tol,
                                   atol=tol * float(np.max(np.abs(ops), initial=0.0)))
@@ -76,7 +76,7 @@ def left_multiplier_space(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subsp
 def multiplier_identities(a: FinDimAlgebra, f: FinDimAlgebra,
                           act: BimoduleAction) -> list[BlockIdentity]:
     """The eight block identities of a left multiplier of the duplication."""
-    b = DualActionBlocks.level0(a, f, act)
+    b = duplication_dual_blocks(a, f, act, 0)
     ca, cf = a.mult, f.mult
     return [
         # T1A(a b) = a T1A(b) + a . T2A(b)

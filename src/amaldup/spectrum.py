@@ -133,11 +133,18 @@ def radical_subspace(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subspace:
     return null
 
 
+def first_match(chi, covectors, match_tol: float) -> int | None:
+    """Index of the first covector within sup-norm distance match_tol of
+    ``chi``, or None."""
+    for idx, known in enumerate(covectors):
+        if np.max(np.abs(np.asarray(chi) - np.asarray(known))) <= match_tol:
+            return idx
+    return None
+
+
 def _record(found: list[np.ndarray], chi: np.ndarray, tol: float) -> None:
-    for known in found:
-        if np.max(np.abs(known - chi)) <= check_bound(tol):
-            return
-    found.append(chi)
+    if first_match(chi, found, check_bound(tol)) is None:
+        found.append(chi)
 
 
 def _sort_key(chi: np.ndarray):
@@ -148,16 +155,12 @@ def characters_match(first, second, match_tol: float) -> bool:
     """Greedy set matching of covector lists at sup-norm distance match_tol."""
     if len(first) != len(second):
         return False
-    unused = list(range(len(second)))
+    unused = list(second)
     for chi in first:
-        hit = None
-        for idx in unused:
-            if np.max(np.abs(np.asarray(chi) - np.asarray(second[idx]))) <= match_tol:
-                hit = idx
-                break
+        hit = first_match(chi, unused, match_tol)
         if hit is None:
             return False
-        unused.remove(hit)
+        del unused[hit]
     return True
 
 
@@ -223,11 +226,8 @@ def duplication_spectrum(dup: Duplication, tol: float = DEFAULT_TOL,
               for psi in characters(f, tol)]
     sigma = [chi.phi for chi in characters(dup, tol)]
 
-    for e_chi in e_list:
-        for f_chi in f_list:
-            if np.max(np.abs(e_chi - f_chi)) <= match_tol:
-                raise SpectrumTheoremViolation(
-                    "lifted character families intersect")
+    if any(first_match(e_chi, f_list, match_tol) is not None for e_chi in e_list):
+        raise SpectrumTheoremViolation("lifted character families intersect")
     if not characters_match(e_list + f_list, sigma, match_tol):
         raise SpectrumTheoremViolation(
             f"direct spectrum ({len(sigma)} characters) does not match the "

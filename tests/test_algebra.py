@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from amaldup.algebra import (BimoduleAction, FinDimAlgebra, direct_sum,
                              duplicate, join_element, l1_norm, lau_action,
-                             natural_action, span_products, validate_action,
-                             validate_algebra)
+                             left_family, natural_action, right_family,
+                             span_products, validate_action, validate_algebra)
 from amaldup.errors import IncompatibleAction, MissingAction, NotACharacter
+from amaldup.sampling import random_triple
 
 from conftest import pointwise_algebra, scalar_algebra, zero_algebra
 
@@ -42,6 +43,23 @@ class TestValidateAlgebra:
         report = validate_algebra(FinDimAlgebra.from_mult(c))
         assert report.submultiplicativity_constant == 7.0
         assert report.passed  # reported only
+
+
+class TestOperatorFamilies:
+    def test_families_are_the_basis_operators(self, triangular):
+        # the one operator convention: left_family / right_family of the
+        # product and action tensors are the left_op / right_op matrices of
+        # the basis vectors, entry for entry
+        rng = np.random.default_rng(5)
+        triples = [triangular] + [random_triple(rng)[:3] for _ in range(10)]
+        for a, f, act in triples:
+            for alg in (a, f):
+                for i, e in enumerate(np.eye(alg.dim)):
+                    assert np.array_equal(left_family(alg.mult)[i], alg.left_op(e))
+                    assert np.array_equal(right_family(alg.mult)[i], alg.right_op(e))
+            for p, beta in enumerate(np.eye(f.dim)):
+                assert np.array_equal(left_family(act.left)[p], act.left_op(beta))
+                assert np.array_equal(right_family(act.right)[p], act.right_op(beta))
 
 
 class TestValidateAction:

@@ -3,15 +3,14 @@ import pytest
 
 from amaldup.algebra import duplicate
 from amaldup.duals import (arens_action_extensions, arens_products,
-                           assemble_duplication_dual, canonical_embedding,
-                           duplication_dual_blocks, duplication_nth_dual,
-                           essentiality, first_adjoint, nth_dual_bimodule,
-                           second_adjoint, second_dual_duplication_defect,
-                           topological_centres)
+                           assemble_duplication_dual, duplication_dual_blocks,
+                           duplication_nth_dual, essentiality, first_adjoint,
+                           nth_dual_bimodule, second_adjoint,
+                           second_dual_duplication_defect, topological_centres)
 
 from amaldup.sampling import random_triple
 
-from conftest import pointwise_algebra, scalar_algebra
+from conftest import scalar_algebra
 
 
 class TestAdjoints:
@@ -139,34 +138,25 @@ class TestCentres:
         assert all(s.dim == s.ambient_dim for s in cents.values())
 
 
-class TestEmbedding:
-    def test_identity_on_coordinates(self):
-        alg = pointwise_algebra(2)
-        assert np.array_equal(canonical_embedding(alg, [0.0, 0.0]), [0.0, 0.0])
-        assert np.array_equal(canonical_embedding(alg, alg.unit), alg.unit)
-        v = np.array([1.0 + 2.0j, -3.0])
-        assert np.array_equal(canonical_embedding(alg, v), v)
-
-
 ESSENTIALITY_MODES = ("algebra_left", "algebra_right")
 
 
 class TestEssentiality:
     def test_unital_always_essential(self, lau_unital):
-        a, f, act = lau_unital
+        a = lau_unital[0]
         for n in (0, 1, 2):
             for mode in ESSENTIALITY_MODES:
-                assert essentiality(a, f, act, n, mode)
+                assert essentiality(a, n, mode)
 
     def test_zero_product_not_essential(self, zero_pair, module_extension,
                                         triangular):
         # each first factor has the zero product (triangular: the corner M)
-        for a, f, act in (zero_pair, module_extension, triangular):
+        for a, _, _ in (zero_pair, module_extension, triangular):
             for n in (0, 1, 2):
                 for mode in ESSENTIALITY_MODES:
-                    assert not essentiality(a, f, act, n, mode)
+                    assert not essentiality(a, n, mode)
 
     @pytest.mark.parametrize("mode", ["action_left", "action_right", "left"])
     def test_unknown_mode_raises(self, lau_unital, mode):
         with pytest.raises(ValueError, match="unknown mode"):
-            essentiality(*lau_unital, 0, mode)
+            essentiality(lau_unital[0], 0, mode)

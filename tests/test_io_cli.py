@@ -265,6 +265,22 @@ class TestCli:
         assert code == 0
         assert "is-left-ideal" in report
 
+    @pytest.mark.parametrize("content", ['{"vectors": [[1, 2]]}', '[1, 2]',
+                                         '{"vectors": [[[1, "x"], [0, 0]]]}'])
+    def test_ideals_rejects_malformed_subspace(self, tmp_path, content):
+        sub = tmp_path / "sub.json"
+        sub.write_text(content)
+        code, report = run_command(["ideals", fixture_path("lau_unital"),
+                                    "--subspace", str(sub), "--format", "json"])
+        assert code == 1
+        (row,) = json.loads(report)["results"]
+        assert (row["id"], row["status"]) == ("input", "fail")
+        assert "vectors" in row["value"]
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_check_paper_needs_a_trial(self, trials):
+        assert run_command(["check-paper", "--trials", trials]) == (2, "")
+
     def test_amenability_subcommand(self):
         code, report = run_command(["amenability", fixture_path("lau_unital"),
                                     "--max-level", "1", "--format", "json"])
