@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (IncompatibleAction, MissingAction, NotACharacter,
                      ShapeError)
-from .linalg import DEFAULT_TOL, Subspace, as_cvector, solve_affine
+from .linalg import (_FOLD_ROWS_PER_COL, DEFAULT_TOL, Subspace, as_cvector,
+                     solve_affine, span_dim)
 
 
 def left_family(tensor: np.ndarray) -> np.ndarray:
@@ -43,12 +44,13 @@ def right_family(tensor: np.ndarray) -> np.ndarray:
 class FinDimAlgebra:
     """An algebra over C given by basis labels and a multiplication tensor.
 
-    The unit is solved for at ``unit_tol`` on first read of :attr:`unit`.
+    :attr:`unit` and :attr:`generators` are solved at the construction
+    ``tol`` on first read.
     """
 
     mult: np.ndarray = field(repr=False)
     labels: tuple[str, ...]
-    unit_tol: float = field(default=DEFAULT_TOL, repr=False)
+    tol: float = field(default=DEFAULT_TOL, repr=False)
 
     @property
     def dim(self) -> int:
@@ -57,7 +59,31 @@ class FinDimAlgebra:
     @functools.cached_property
     def unit(self) -> np.ndarray | None:
         """The two-sided unit, or None when the algebra has none."""
-        return _detect_unit(self.mult, self.unit_tol)
+        return _detect_unit(self.mult, self.tol)
+
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices G with span(G ∪ G·G) = A, or all of them.
+
+        Greedy and seed-free: index i joins G when it raises the dimension
+        of span(G ∪ G·G), cut as :meth:`Subspace.from_spanning` cuts at
+        ``tol``.  When depth 2 does not fill A, G is ``range(dim)``.  Any
+        subalgebra containing G is then A, which is what lets the direct
+        route write its Leibniz and commutant rows at G only.  Up to
+        ``_FOLD_ROWS_PER_COL`` basis elements those rows are one block
+        below one fold buffer, where fewer of them save less than the
+        search costs, so G is ``range(dim)`` there without one.
+        """
+        n, eye, picked, reached = self.dim, np.eye(self.dim), [], 0
+        for i in range(n if n > _FOLD_ROWS_PER_COL else 0):
+            if reached == n:
+                break
+            trial = picked + [i]
+            products = self.mult[trial][:, trial].reshape(-1, n)
+            dim = span_dim(np.vstack([eye[trial], products]).T, self.tol)
+            if dim > reached:
+                picked, reached = trial, dim
+        return tuple(picked) if reached == n else tuple(range(n))
 
     @classmethod
     def from_mult(cls, mult, labels=None, tol: float = DEFAULT_TOL, **parts):

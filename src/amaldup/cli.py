@@ -58,10 +58,28 @@ def run_command(argv) -> tuple[int, str]:
     return code, report
 
 
+def _checked(kind, ok, need: str):
+    """Argument type: a ``kind`` value for which ``ok`` holds; any other
+    value is a usage error that says it must be ``need``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, "at least 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, "at least 1")
+# NaN fails both comparisons
+_TOLERANCE = _checked(float, lambda v: 0 < v < np.inf, "positive and finite")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     shown_tol = np.format_float_scientific(DEFAULT_TOL, trim="-", exp_digits=1)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    common.add_argument("--tol", type=_TOLERANCE, default=DEFAULT_TOL,
                         help=f"comparison tolerance (default {shown_tol})")
     common.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -94,31 +112,24 @@ def build_parser() -> argparse.ArgumentParser:
     add("arens", cmd_arens, "extended products on second duals")
     add("centres", cmd_centres, "topological centres")
     p = add("derivations", cmd_derivations, "derivation space dimensions")
-    p.add_argument("--level", type=int, default=1, help="dual level n")
+    p.add_argument("--level", type=_NONNEGATIVE, default=1, help="dual level n")
     add("cyclic", cmd_cyclic, "cyclic derivations at the first dual")
     p = add("property-h", cmd_property_h,
             "extension property of the pair at an odd dual level")
-    p.add_argument("--n", type=int, default=0, help="check level 2n+1")
+    p.add_argument("--n", type=_NONNEGATIVE, default=0, help="check level 2n+1")
     p = add("amenability", cmd_amenability,
             "weak and cyclic amenability per dual level")
-    p.add_argument("--max-level", type=int, default=2)
+    p.add_argument("--max-level", type=_NONNEGATIVE, default=2)
     p = sub.add_parser("check-paper", parents=[common],
                        help="randomized audit of the structure theorems")
     p.add_argument("bundle", nargs="?",
                    help="optional bundle to include as a deterministic case")
-    p.add_argument("--trials", type=_positive_int, default=50,
+    p.add_argument("--trials", type=_POSITIVE, default=50,
                    help="random triples per audit family, at least 1")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the randomized audit")
     p.set_defaults(handler=cmd_check)
     return parser
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _row(check_id, status, defect=None, value=None, witness=None):

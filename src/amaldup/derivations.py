@@ -42,27 +42,35 @@ from .duals import (D1A, D1F, D2A, D2F, L, R, BlockIdentity, BlockLayout,
                     duplication_dual_blocks, duplication_nth_dual,
                     nth_dual_bimodule, slot_system)
 from .errors import DecompositionDefect, HypothesisNotMet, UnitRequired
-from .linalg import (DEFAULT_TOL, Subspace, _streamed_nullspace, check_bound,
-                     rank_nullspace, solve_affine, subspace_intersect)
+from .linalg import (_FOLD_ROWS_PER_COL, DEFAULT_TOL, Subspace,
+                     _streamed_nullspace, check_bound, rank_nullspace,
+                     solve_affine, subspace_intersect)
 
 
 # ---------------------------------------------------------------------------
 # generic derivation machinery
 
 
-def _leibniz_blocks(mult: np.ndarray, bim: DualBimodule):
-    """The Leibniz rows over vec(D), one ``i`` (N·dx rows) at a time."""
+def _leibniz_blocks(mult: np.ndarray, bim: DualBimodule, left=None):
+    """The Leibniz rows over vec(D) at the left factors e_i, i in ``left``
+    (default all), for up to ``_FOLD_ROWS_PER_COL`` of them per block:
+    each i gives N·dx rows, one column count, so a block fills at most
+    one fold buffer."""
     n, dx = mult.shape[0], bim.module_dim
     eye_n, eye_x = np.eye(n), np.eye(dx)
-    for i in range(n):
-        # axes (j, k | l, m): row (j, k) is entry k of
+    left = list(range(n) if left is None else left)
+    for start in range(0, len(left), _FOLD_ROWS_PER_COL):
+        i = left[start:start + _FOLD_ROWS_PER_COL]
+        # axes (i, j, k | l, m): row (i, j, k) is entry k of
         # D(e_i e_j) - D(e_i).e_j - e_i.D(e_j), column (l, m) is D[l, m].
         # Each term is a broadcast product, not an einsum sum from +0.0, so
         # every entry, signed zeros included, is that of the Kronecker form
-        rows = (eye_x[None, :, :, None] * mult[i, :, None, None, :]
-                - bim.right_ops[:, :, :, None] * eye_n[i]
-                - bim.left_ops[i][None, :, :, None] * eye_n[:, None, None, :])
-        yield rows.reshape(n * dx, dx * n)
+        rows = (eye_x[None, None, :, :, None] * mult[i][:, :, None, None, :]
+                - bim.right_ops[None, :, :, :, None]
+                * eye_n[i][:, None, None, None, :]
+                - bim.left_ops[i][:, None, :, :, None]
+                * eye_n[None, :, None, None, :])
+        yield rows.reshape(len(i) * n * dx, dx * n)
 
 
 def derivation_constraints(mult: np.ndarray, bim: DualBimodule) -> np.ndarray:
@@ -73,9 +81,11 @@ def derivation_constraints(mult: np.ndarray, bim: DualBimodule) -> np.ndarray:
 
 def derivation_space(alg: FinDimAlgebra, bim: DualBimodule,
                      tol: float = DEFAULT_TOL) -> Subspace:
-    """All derivations of the algebra into the bimodule, as vec'd matrices."""
-    _, null = _streamed_nullspace(_leibniz_blocks(alg.mult, bim),
-                                  bim.module_dim * alg.dim, tol)
+    """All derivations of the algebra into the bimodule, as vec'd matrices:
+    the Leibniz rows at ``alg.generators`` (see the module docstring)."""
+    _, null = _streamed_nullspace(_leibniz_blocks(alg.mult, bim, alg.generators),
+                                  bim.module_dim * alg.dim, tol,
+                                  every=lambda: _leibniz_blocks(alg.mult, bim))
     return null
 
 
@@ -112,9 +122,13 @@ def _antisymmetry_rows(n: int) -> np.ndarray:
 def cyclic_derivation_space(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subspace:
     """Derivations into the first dual with antisymmetric pairing matrix."""
     bim = nth_dual_bimodule(alg, 1)
-    blocks = itertools.chain(_leibniz_blocks(alg.mult, bim),
-                             [_antisymmetry_rows(alg.dim)])
-    _, null = _streamed_nullspace(blocks, alg.dim * alg.dim, tol)
+
+    def rows(left=None):
+        return itertools.chain(_leibniz_blocks(alg.mult, bim, left),
+                               [_antisymmetry_rows(alg.dim)])
+
+    _, null = _streamed_nullspace(rows(alg.generators), alg.dim * alg.dim, tol,
+                                  every=rows)
     return null
 
 

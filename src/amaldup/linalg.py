@@ -5,10 +5,10 @@ nullspace with a relative threshold, least-norm linear solves with a
 certified residual, and orthonormal subspaces supporting sum,
 intersection and containment tests.  Every rank decision, spans
 included, is one SVD cut at ``max(tol * sigma_max, atol)``
-(:func:`_numerical_rank`); a span takes ``atol = tol``, so its cut is
+(:func:`_cut`); a span takes ``atol = tol``, so its cut is
 ``tol * max(1, sigma_max)``.  Systems too tall to hold whole go
 through :func:`_streamed_nullspace`, which folds their row blocks into
-one triangular factor (sequential TSQR) and hands that factor to
+one square triangular factor (sequential TSQR) and hands that factor to
 :func:`rank_nullspace`.
 
 Conventions:
@@ -114,7 +114,7 @@ class Subspace:
         if mat.size == 0:
             return Subspace.zero(n)
         u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        return Subspace(n, u[:, :_numerical_rank(s, tol, tol)])
+        return Subspace(n, u[:, :_span_rank(s, tol)])
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
@@ -156,18 +156,45 @@ def rank_nullspace(m, tol: float = DEFAULT_TOL,
     thin one has only ``rows`` of the ``cols`` rows and would drop the
     nullspace directions beyond them.
     """
+    rank, null, _ = _decide(m, tol, atol)
+    return rank, null
+
+
+def _decide(m, tol: float, atol: float) -> tuple[int, Subspace, bool]:
+    """:func:`rank_nullspace`, and whether the decision is on the edge: a
+    singular value lies within a factor ``_CLEARANCE`` of the cut."""
     m = as_cmatrix(m)
     if m.size == 0:
-        return 0, Subspace.full(m.shape[1])
+        return 0, Subspace.full(m.shape[1]), False
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    rank = _numerical_rank(s, tol, atol)
-    return rank, Subspace(m.shape[1], vh[rank:].conj().T)
+    cut = _cut(s, tol, atol)
+    rank = int(np.sum(s > cut))
+    edge = bool(np.any((_CLEARANCE * s > cut) & (s < _CLEARANCE * cut)))
+    return rank, Subspace(m.shape[1], vh[rank:].conj().T), edge
 
 
-def _numerical_rank(s: np.ndarray, tol: float, atol: float) -> int:
-    """The one rank cut: the number of singular values ``s`` (descending,
-    not empty) above ``max(tol * sigma_max, atol)``."""
-    return int(np.sum(s > max(tol * s[0], atol)))
+def span_dim(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """``Subspace.from_spanning(vectors, tol=tol).dim`` for the columns of
+    a matrix, from the singular values alone."""
+    if vectors.size == 0:
+        return 0
+    return _span_rank(np.linalg.svd(vectors, compute_uv=False), tol)
+
+
+def _span_rank(s: np.ndarray, tol: float) -> int:
+    """The number of singular values ``s`` kept by a span's cut."""
+    return int(np.sum(s > _cut(s, tol, tol)))
+
+
+def _cut(s: np.ndarray, tol: float, atol: float) -> float:
+    """The one rank cut, ``max(tol * sigma_max, atol)``, for singular values
+    ``s`` (descending, not empty): those above it count."""
+    return max(tol * s[0], atol)
+
+
+# A decision clears its cut when every singular value lies more than this
+# factor above or below it; one that does not is on the edge.
+_CLEARANCE = 10
 
 
 # Rows buffered before each fold into R, as a multiple of the column count:
@@ -178,27 +205,38 @@ _FOLD_ROWS_PER_COL = 4
 
 
 def _streamed_nullspace(blocks, cols: int, tol: float = DEFAULT_TOL,
-                        atol: float = 0.0) -> tuple[int, Subspace]:
+                        atol: float = 0.0, every=None) -> tuple[int, Subspace]:
     """:func:`rank_nullspace` of the stacked row ``blocks`` (each ``cols`` wide).
 
     Blocks are buffered until they reach ``_FOLD_ROWS_PER_COL * cols``
     rows; each full buffer is folded into the R factor of everything seen
-    so far, ``R = qr([R; buffer], mode="r")``, and ``[R; rest]`` goes to
-    :func:`rank_nullspace` at the end.  R has the Gram matrix of the rows
-    it replaces, so the singular values and right singular vectors are
-    those of the whole system up to the backward error of the QR, and
-    ``tol`` and ``atol`` keep their meaning (the normal equations are
-    never formed).  A system shorter than one buffer is solved as it
-    stands.
+    so far, ``R = qr([R; buffer], mode="r")``, and once a fold has
+    happened the trailing partial buffer is folded too, so
+    :func:`rank_nullspace` gets a square cols x cols R.  R has the Gram
+    matrix of the rows it replaces, so the singular values and right
+    singular vectors are those of the whole system up to the backward
+    error of the QR, and ``tol`` and ``atol`` keep their meaning (the
+    normal equations are never formed).  A system shorter than one buffer
+    is solved as it stands.
+
+    ``every``, when given, returns the blocks of a longer system with the
+    same exact nullspace.  Fewer rows can leave a singular value nearer
+    the cut, so a decision on the edge (see :func:`_decide`) is left to
+    that longer system.
     """
     limit = _FOLD_ROWS_PER_COL * cols
-    buffer, height = [np.zeros((0, cols))], 0
+    buffer, height, folded = [np.zeros((0, cols))], 0, False
     for block in blocks:
         buffer.append(block)
         height += block.shape[0]
         if height >= limit:
-            buffer, height = [_fold(buffer)], 0
-    return rank_nullspace(np.vstack(buffer), tol, atol)
+            buffer, height, folded = [_fold(buffer)], 0, True
+    if folded and height:
+        buffer = [_fold(buffer)]
+    if every is None:
+        return rank_nullspace(np.vstack(buffer), tol, atol)
+    rank, null, edge = _decide(np.vstack(buffer), tol, atol)
+    return _streamed_nullspace(every(), cols, tol, atol) if edge else (rank, null)
 
 
 def _fold(buffer: list) -> np.ndarray:

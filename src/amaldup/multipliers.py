@@ -23,7 +23,8 @@ from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
                     BlockQuadruple, block_nullspace, block_residuals,
                     duplication_dual_blocks, nth_dual_bimodule)
 from .errors import DecompositionDefect, ShapeError
-from .linalg import DEFAULT_TOL, Subspace, _streamed_nullspace, check_bound
+from .linalg import (_FOLD_ROWS_PER_COL, DEFAULT_TOL, Subspace,
+                     _streamed_nullspace, check_bound)
 
 
 @dataclass(frozen=True)
@@ -40,15 +41,17 @@ class MultiplierQuadruple(BlockQuadruple):
 
 
 def _commutant_blocks(ops: np.ndarray):
-    """The rows of ``T @ op - op @ T = 0`` over vec(T), one op at a time."""
+    """The rows of ``T @ op - op @ T = 0`` over vec(T), for up to
+    ``_FOLD_ROWS_PER_COL`` ops (d² rows each) per block."""
     d = ops.shape[1]
     eye = np.eye(d)
-    for op in ops:
-        # axes (a, b | c, e): row (a, b) is entry (a, b) of T op - op T,
-        # column (c, e) is T[c, e]
-        rows = (eye[:, None, :, None] * op.T[None, :, None, :]
-                - op[:, None, :, None] * eye[None, :, None, :])
-        yield rows.reshape(d * d, d * d)
+    for start in range(0, len(ops), _FOLD_ROWS_PER_COL):
+        op = ops[start:start + _FOLD_ROWS_PER_COL]
+        # axes (o, a, b | c, e): row (o, a, b) is entry (a, b) of
+        # T op_o - op_o T, column (c, e) is T[c, e]
+        rows = (eye[None, :, None, :, None] * op.transpose(0, 2, 1)[:, None, :, None, :]
+                - op[:, :, None, :, None] * eye[None, None, :, None, :])
+        yield rows.reshape(len(op) * d * d, d * d)
 
 
 def commutant_constraints(ops: np.ndarray) -> np.ndarray:
@@ -64,8 +67,10 @@ def multiplier_space(alg: FinDimAlgebra, side: str = "left",
         raise ValueError(f"unknown side {side!r}")
     bim = nth_dual_bimodule(alg, 0)
     ops = bim.left_ops if side == "left" else bim.right_ops
-    _, null = _streamed_nullspace(_commutant_blocks(ops), alg.dim * alg.dim, tol,
-                                  atol=tol * float(np.max(np.abs(ops), initial=0.0)))
+    _, null = _streamed_nullspace(_commutant_blocks(ops[list(alg.generators)]),
+                                  alg.dim * alg.dim, tol,
+                                  atol=tol * float(np.max(np.abs(ops), initial=0.0)),
+                                  every=lambda: _commutant_blocks(ops))
     return null
 
 

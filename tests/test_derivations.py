@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from amaldup.algebra import (BimoduleAction, FinDimAlgebra, duplicate,
-                             natural_action, span_products)
+from amaldup.algebra import (BimoduleAction, FinDimAlgebra, direct_sum,
+                             duplicate, natural_action, span_products)
 from amaldup.derivations import (CYCLIC_IDENTITIES, _antisymmetry_rows,
                                  cohomology, corollary_dt_check,
                                  cyclic_amenability, cyclic_derivation_space,
@@ -27,7 +27,8 @@ from amaldup.linalg import (DEFAULT_TOL, rank_nullspace, solve_affine,
 from amaldup.multipliers import (commutant_constraints, left_multiplier_space,
                                  multiplier_identities, multiplier_space,
                                  quadruple_space)
-from amaldup.sampling import random_triple, random_unitary
+from amaldup.sampling import (COMMUTATIVE_CORES, NONCOMMUTATIVE_CORES,
+                              random_triple, random_unitary)
 
 from conftest import (assert_same_solve, block_system, conditioned,
                       extension_reference, group_algebra, matrix_algebra,
@@ -560,6 +561,105 @@ class TestDirectSystems:
     def test_antisymmetry_rows_match_loop(self):
         for n in range(1, 9):
             assert same_bits(_antisymmetry_rows(n), loop_antisymmetry_rows(n))
+
+
+def depth2_rank(alg):
+    """Rank of G ∪ G·G for ``alg.generators``, by numpy's own rank."""
+    g = list(alg.generators)
+    vectors = np.vstack([np.eye(alg.dim)[g],
+                         alg.mult[np.ix_(g, g)].reshape(-1, alg.dim)])
+    return np.linalg.matrix_rank(vectors) if vectors.size else 0
+
+
+def commutant_ops(alg, side):
+    op = alg.left_op if side == "left" else alg.right_op
+    return np.array([op(e) for e in np.eye(alg.dim)]).reshape((alg.dim,) * 3)
+
+
+class TestGenerators:
+    def test_depth_two_spans_the_algebra(
+            self, zero_pair, lau_unital, module_extension, triangular):
+        # every sampler core, natural and moved, sums of two cores, the
+        # fixtures and their duplications, M2, M3 and ladder rungs 8-20
+        rng = np.random.default_rng(31)
+        cores = [FinDimAlgebra.from_mult(core.mult)
+                 for core in COMMUTATIVE_CORES + NONCOMMUTATIVE_CORES]
+        algebras = cores + [moved(alg, random_unitary(rng, alg.dim))
+                            for alg in cores]
+        algebras += [moved(direct_sum(x, y), random_unitary(rng, x.dim + y.dim))
+                     for x in cores for y in cores]
+        for a, f, act in (zero_pair, lau_unital, module_extension, triangular):
+            algebras += [a, f, duplicate(a, f, act)]
+        algebras += [FinDimAlgebra.from_mult(matrix_algebra(n)) for n in (2, 3)]
+        ladders = [ladder_duplication(n)[2] for n in range(8, 21, 2)]
+        for alg in algebras + ladders:
+            g = alg.generators
+            assert g == tuple(sorted(set(g))) and set(g) <= set(range(alg.dim))
+            assert depth2_rank(alg) == alg.dim
+        assert all(len(alg.generators) < alg.dim for alg in ladders)
+        assert sum(len(alg.generators) < alg.dim for alg in algebras) > 100
+
+    def test_zero_product_takes_every_index(self):
+        for core in COMMUTATIVE_CORES:
+            if not core.mult.any():
+                alg = FinDimAlgebra.from_mult(core.mult)
+                assert alg.generators == tuple(range(alg.dim))
+        for n in (0, 5, 9):
+            assert zero_algebra(n).generators == tuple(range(n))
+
+    def test_generator_rows_match_full_rows_on_conditioned_grid(
+            self, lau_unital, triangular):
+        # Z1 at levels 0-3, cyclic Z1 and both LMs at the generators
+        # against the dense solve of every row, under basis changes of
+        # condition number 10, 10^2 and 10^3
+        rng = np.random.default_rng(32)
+        triples = [lau_unital, triangular] + [random_triple(rng)[:3]
+                                              for _ in range(10)]
+        algebras = [duplicate(a, f, act, validate=False) for a, f, act in triples]
+        algebras += [FinDimAlgebra.from_mult(matrix_algebra(2)),
+                     ladder_duplication(8)[2]]
+        proper = 0
+        for base in algebras:
+            for cond in (1e1, 1e2, 1e3):
+                alg = moved(base, conditioned(rng, base.dim, cond))
+                proper += len(alg.generators) < alg.dim
+                assert_generator_route_is_the_full_solve(alg, range(4))
+        assert proper >= 3 * 10
+
+    def test_edge_decisions_are_left_to_every_row(self, lau_unital):
+        # C + C (the Lau duplication) at condition 10^3 beside a zero
+        # block: its generator rows alone put a singular value under the
+        # cut that the full rows keep (at seeds 2, 4 and 6 of these), and
+        # the edge fallback gives the full answer
+        lau = duplicate(*lau_unital)
+        for seed in range(8):
+            s = conditioned(np.random.default_rng(seed), 2, 1e3)
+            alg = direct_sum(moved(lau, s), zero_algebra(3))
+            assert alg.generators == (0, 2, 3, 4)
+            assert_generator_route_is_the_full_solve(alg, (0, 1))
+
+
+def moved(alg, s):
+    """``alg`` in the basis of the columns of the invertible ``s``."""
+    return FinDimAlgebra.from_mult(np.einsum("ai,bj,abk,mk->ijm", s, s, alg.mult,
+                                             np.linalg.inv(s)))
+
+
+def assert_generator_route_is_the_full_solve(alg, levels):
+    """Z1 at ``levels``, cyclic Z1 and both LMs against the dense solve of
+    all rows."""
+    for n in levels:
+        bim = nth_dual_bimodule(alg, n)
+        assert_same_solve(derivation_constraints(alg.mult, bim),
+                          derivation_space(alg, bim))
+    bim = nth_dual_bimodule(alg, 1)
+    assert_same_solve(np.vstack([derivation_constraints(alg.mult, bim),
+                                 _antisymmetry_rows(alg.dim)]),
+                      cyclic_derivation_space(alg))
+    for side in ("left", "right"):
+        ops = commutant_ops(alg, side)
+        assert_same_solve(commutant_constraints(ops), multiplier_space(alg, side),
+                          atol=DEFAULT_TOL * float(np.max(np.abs(ops), initial=0.0)))
 
 
 def x_only_witness(a, f, act, t_block, n, tol=DEFAULT_TOL):

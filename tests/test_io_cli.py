@@ -281,6 +281,26 @@ class TestCli:
     def test_check_paper_needs_a_trial(self, trials):
         assert run_command(["check-paper", "--trials", trials]) == (2, "")
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf", "abc"])
+    @pytest.mark.parametrize("command", ["validate", "derivations", "check-paper"])
+    def test_tolerance_must_be_positive_and_finite(self, command, tol, capsys):
+        # a usage error before any solve: no report and no traceback
+        args = [command] + ([] if command == "check-paper"
+                            else [fixture_path("lau_unital")])
+        assert run_command(args + ["--tol", tol, "--format", "json"]) == (2, "")
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        ("amenability", "--max-level"), ("derivations", "--level"),
+        ("property-h", "--n")])
+    def test_levels_must_be_nonnegative(self, command, option, capsys):
+        path = fixture_path("lau_unital")
+        assert run_command([command, path, option, "-1"]) == (2, "")
+        assert option in capsys.readouterr().err
+        code, report = run_command([command, path, option, "0",
+                                    "--format", "json"])
+        assert code == 0 and json.loads(report)["results"]
+
     def test_amenability_subcommand(self):
         code, report = run_command(["amenability", fixture_path("lau_unital"),
                                     "--max-level", "1", "--format", "json"])

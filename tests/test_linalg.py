@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import amaldup
+from amaldup import linalg
 from amaldup.errors import InvalidMatrix, ShapeError
 from amaldup.linalg import (_FOLD_ROWS_PER_COL, Subspace, _streamed_nullspace,
                             rank_nullspace, solve_affine, subspace_contains,
@@ -121,6 +122,41 @@ class TestStreamedNullspace:
         _, dense = rank_nullspace(m)
         _, streamed = _streamed_nullspace(iter(np.split(m, 3)), 5)
         assert streamed.basis.tobytes() == dense.basis.tobytes()
+
+    @pytest.mark.parametrize("extra", [1, 5, 2 * _FOLD_ROWS_PER_COL * 6 + 3])
+    def test_trailing_rows_fold_into_a_square_r(self, monkeypatch, extra):
+        # rows past the last full buffer are folded as well, so the one
+        # SVD is of a cols x cols R, and the solve is the dense one
+        shapes = []
+
+        def recording(m, *args):
+            shapes.append(np.shape(m))
+            return rank_nullspace(m, *args)
+
+        monkeypatch.setattr(linalg, "rank_nullspace", recording)
+        rng = np.random.default_rng(23)
+        cols = 6
+        m = low_rank(rng, _FOLD_ROWS_PER_COL * cols + extra, cols, 4)
+        rank, null = _streamed_nullspace(split_rows(rng, m, 5), cols)
+        assert shapes == [(cols, cols)]
+        assert rank == 4
+        assert_same_solve(m, null)
+
+    @pytest.mark.parametrize("sigma, edge", [
+        (5e-9, True), (5e-10, True), (1e-3, False), (1e-12, False)])
+    def test_edge_decision_is_left_to_the_longer_system(self, sigma, edge):
+        # a singular value within 10x of the cut (1e-9), on either side,
+        # hands the decision to the longer system; a clear one never reads it
+        reads = []
+
+        def every():
+            reads.append(True)
+            return iter([np.eye(3)])
+
+        m = np.diag([1.0, 1.0, sigma])
+        rank, _ = _streamed_nullspace(iter([m[:1], m[1:]]), 3, every=every)
+        assert reads == [True] * edge
+        assert rank == (3 if edge else 2 + int(sigma > 1e-9))
 
     def test_zero_columns_and_no_rows(self):
         rank, null = _streamed_nullspace(iter([np.zeros((k, 0)) for k in (3, 9)]), 0)
