@@ -70,9 +70,10 @@ class FinDimAlgebra:
         ``tol``.  When depth 2 does not fill A, G is ``range(dim)``.  Any
         subalgebra containing G is then A, which is what lets the direct
         route write its Leibniz and commutant rows at G only.  Up to
-        ``_FOLD_ROWS_PER_COL`` basis elements those rows are one block
-        below one fold buffer, where fewer of them save less than the
-        search costs, so G is ``range(dim)`` there without one.
+        ``_FOLD_ROWS_PER_COL`` basis elements all those rows are one
+        broadcast and at most one fold buffer, and fewer of them save
+        less than the search costs, so G is ``range(dim)`` there without
+        a search.
         """
         n, eye, picked, reached = self.dim, np.eye(self.dim), [], 0
         for i in range(n if n > _FOLD_ROWS_PER_COL else 0):

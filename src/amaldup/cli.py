@@ -66,7 +66,7 @@ def _checked(kind, ok, need: str):
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
         return value
-    parse.__name__ = kind.__name__
+    parse.__name__ = kind.__name__   # argparse's "invalid int value" names it
     return parse
 
 

@@ -5,10 +5,23 @@ matrix ``(dim X, dim alg)`` with columns ``D(e_i)``; its vectorization is
 row-major.  Z1, the inner space B1, and the cyclic subspace at level one
 are single nullspace or span computations on the Leibniz system: this
 is the direct route.  Its Leibniz identity is written once, as the row
-blocks of :func:`_leibniz_blocks` (one basis element e_i at a time),
-which the nullspace solves fold into one R factor without stacking;
-:func:`derivation_constraints` stacks them, and :func:`derivation_defect`
-is their residual.
+blocks of :func:`_leibniz_blocks` (up to one fold buffer of left
+factors e_i at a time), which the nullspace solves fold into one R
+factor without stacking; :func:`derivation_constraints` stacks them for
+every e_i, and :func:`derivation_defect` is their residual.
+
+The solves write those rows only at ``alg.generators``, a set G with
+span(G ∪ G·G) = A.  That suffices: the elements a at which D obeys
+D(ax) = D(a)x + aD(x) for every x form a subspace S, and S is closed
+under products, since for a, b in S, D(ab) = D(a)b + aD(b) and
+D(abx) = D(a)bx + aD(bx) = D(ab)x + abD(x).  So S contains G, G·G and
+their span, which is A.  Nothing here depends on the bimodule, so it
+covers every dual level and the cyclic space, and it is the same
+argument for multipliers: the a with T(ax) = aT(x) for every x
+(T commutes with L_a) form a subalgebra, as L_ab = L_a L_b, and so do
+the a with T commuting with R_a, as R_ab = R_b R_a.  Fewer rows can
+leave a singular value nearer the cut, so a decision within 10× of it
+is made on every row instead (``every`` of :func:`_streamed_nullspace`).
 
 The block route splits a derivation of a duplication into the level-n
 dual into D1A|D1F|D2A|D2F and states the paper's identities once, in

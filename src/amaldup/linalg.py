@@ -5,7 +5,7 @@ nullspace with a relative threshold, least-norm linear solves with a
 certified residual, and orthonormal subspaces supporting sum,
 intersection and containment tests.  Every rank decision, spans
 included, is one SVD cut at ``max(tol * sigma_max, atol)``
-(:func:`_cut`); a span takes ``atol = tol``, so its cut is
+(:func:`_numerical_rank`); a span takes ``atol = tol``, so its cut is
 ``tol * max(1, sigma_max)``.  Systems too tall to hold whole go
 through :func:`_streamed_nullspace`, which folds their row blocks into
 one square triangular factor (sequential TSQR) and hands that factor to
@@ -114,7 +114,7 @@ class Subspace:
         if mat.size == 0:
             return Subspace.zero(n)
         u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        return Subspace(n, u[:, :_span_rank(s, tol)])
+        return Subspace(n, u[:, :_numerical_rank(s, tol, tol)])
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
@@ -167,8 +167,7 @@ def _decide(m, tol: float, atol: float) -> tuple[int, Subspace, bool]:
     if m.size == 0:
         return 0, Subspace.full(m.shape[1]), False
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    cut = _cut(s, tol, atol)
-    rank = int(np.sum(s > cut))
+    rank, cut = _numerical_rank(s, tol, atol), _cut(s, tol, atol)
     edge = bool(np.any((_CLEARANCE * s > cut) & (s < _CLEARANCE * cut)))
     return rank, Subspace(m.shape[1], vh[rank:].conj().T), edge
 
@@ -178,17 +177,17 @@ def span_dim(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     a matrix, from the singular values alone."""
     if vectors.size == 0:
         return 0
-    return _span_rank(np.linalg.svd(vectors, compute_uv=False), tol)
+    return _numerical_rank(np.linalg.svd(vectors, compute_uv=False), tol, tol)
 
 
-def _span_rank(s: np.ndarray, tol: float) -> int:
-    """The number of singular values ``s`` kept by a span's cut."""
-    return int(np.sum(s > _cut(s, tol, tol)))
+def _numerical_rank(s: np.ndarray, tol: float, atol: float) -> int:
+    """The one rank cut: the number of singular values ``s`` (descending,
+    not empty) above :func:`_cut`."""
+    return int(np.sum(s > _cut(s, tol, atol)))
 
 
 def _cut(s: np.ndarray, tol: float, atol: float) -> float:
-    """The one rank cut, ``max(tol * sigma_max, atol)``, for singular values
-    ``s`` (descending, not empty): those above it count."""
+    """The cut itself, ``max(tol * sigma_max, atol)``."""
     return max(tol * s[0], atol)
 
 

@@ -3,8 +3,10 @@
 A left multiplier of C is an operator commuting with every left
 multiplication, ``T(cx) = c T(x)``; the space of all of them is a single
 nullspace over operator coordinates, ``vec(T) = T.reshape(-1)``.  That
-commutant system on the assembled duplication, streamed one operator at
-a time into one R factor, is the direct route.
+commutant system on the assembled duplication, with the operators of
+``alg.generators`` only (enough, by the closure argument in
+:mod:`amaldup.derivations`) streamed into one R factor, is the direct
+route.
 
 The block route splits a multiplier into T1A|T1F|T2A|T2F and states its
 eight identities once, in :func:`multiplier_identities`; the residual
