@@ -15,7 +15,7 @@ randomized audit of all of it.
 
 from .algebra import (BimoduleAction, Duplication, FinDimAlgebra,
                       canonical_construction, direct_sum, duplicate,
-                      homomorphism_action, join_element, l1_norm, lau_action,
+                      homomorphism_action, join_element, lau_action,
                       natural_action, span_products, validate_action,
                       validate_algebra)
 from .bundles import (AlgebraBundle, bundle_from_triple, parse_bundle,

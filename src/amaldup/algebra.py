@@ -69,7 +69,7 @@ class FinDimAlgebra:
         of span(G ∪ G·G), cut as :meth:`Subspace.from_spanning` cuts at
         ``tol``.  When depth 2 does not fill A, G is ``range(dim)``.  Any
         subalgebra containing G is then A, which is what lets the direct
-        route write its Leibniz and commutant rows at G only.  Up to
+        route write its Leibniz rows at G only.  Up to
         ``_FOLD_ROWS_PER_COL`` basis elements all those rows are one
         broadcast and at most one fold buffer, and fewer of them save
         less than the search costs, so G is ``range(dim)`` there without
@@ -288,11 +288,6 @@ def duplicate(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
 
 def join_element(x, beta) -> np.ndarray:
     return np.concatenate([as_cvector(x), as_cvector(beta)])
-
-
-def l1_norm(x) -> float:
-    """Sum of coordinate absolute values; additive across duplication parts."""
-    return float(np.sum(np.abs(as_cvector(x))))
 
 
 def span_products(alg: FinDimAlgebra, mode: str = "squares",

@@ -63,12 +63,9 @@ def parse_algebra(obj, path: str = "algebra") -> FinDimAlgebra:
         obj = _load_json(obj)
     if not isinstance(obj, dict):
         raise ParseError(f"field {path!r} must be an object")
-    try:
-        dim = int(obj["dim"])
-    except KeyError:
-        raise ParseError(f"missing required field '{path}.dim'") from None
-    except (TypeError, ValueError):
-        raise ParseError(f"field '{path}.dim' must be an integer") from None
+    if "dim" not in obj:
+        raise ParseError(f"missing required field '{path}.dim'")
+    dim = json_integer(obj["dim"], f"{path}.dim")
     if dim < 1:
         raise ParseError(f"field '{path}.dim' must be positive")
     labels = obj.get("labels")
@@ -78,6 +75,23 @@ def parse_algebra(obj, path: str = "algebra") -> FinDimAlgebra:
         labels = tuple(str(s) for s in labels)
     mult = _dense_tensor(obj.get("mult", []), (dim, dim, dim), f"{path}.mult")
     return FinDimAlgebra.from_mult(mult, labels)
+
+
+def json_integer(value, path: str) -> int:
+    """A JSON integer; a float, string or bool there is a ParseError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"field {path!r} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value, path: str) -> float:
+    """A JSON number as a float; a string or bool there is a ParseError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"field {path!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"field {path!r} is too large") from None
 
 
 def _load_json(text):
@@ -103,12 +117,10 @@ def _dense_tensor(triplets, shape, path: str) -> np.ndarray:
         where = f"{path}[{pos}]"
         if not isinstance(entry, list) or len(entry) != 5:
             raise ParseError(f"{where} must be [i, j, k, re, im]")
-        idx = tuple(entry[:3])
-        try:
-            idx = tuple(int(v) for v in idx)
-            value = complex(float(entry[3]), float(entry[4]))
-        except (TypeError, ValueError):
-            raise ParseError(f"{where} has non-numeric content") from None
+        idx = tuple(json_integer(i, f"{where}[{axis}]")
+                    for axis, i in enumerate(entry[:3]))
+        value = complex(json_number(entry[3], f"{where}[3]"),
+                        json_number(entry[4], f"{where}[4]"))
         for axis, (i, bound) in enumerate(zip(idx, shape)):
             if not 0 <= i < bound:
                 raise IndexError(

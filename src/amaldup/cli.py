@@ -18,7 +18,8 @@ import numpy as np
 from . import audit as audit_mod
 from .algebra import (Duplication, duplicate, span_products, validate_action,
                       validate_algebra)
-from .bundles import AlgebraBundle, _load_json, algebra_to_obj, parse_bundle
+from .bundles import (AlgebraBundle, _load_json, algebra_to_obj, json_number,
+                      parse_bundle)
 from .derivations import (cohomology, cyclic_cohomology,
                           derivation_quadruple_space, derivation_space,
                           property_h)
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional bundle to include as a deterministic case")
     p.add_argument("--trials", type=_POSITIVE, default=50,
                    help="random triples per audit family, at least 1")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_NONNEGATIVE, default=0,
                    help="seed of the randomized audit")
     p.set_defaults(handler=cmd_check)
     return parser
@@ -240,10 +241,9 @@ def _load_subspace(path, ambient, tol) -> Subspace:
         if not (isinstance(vec, list) and len(vec) == ambient
                 and all(isinstance(p, list) and len(p) == 2 for p in vec)):
             raise ParseError(f"{where} must list {ambient} [re, im] pairs")
-        try:
-            out.append(np.array([complex(float(re), float(im)) for re, im in vec]))
-        except (TypeError, ValueError):
-            raise ParseError(f"{where} has non-numeric content") from None
+        out.append(np.array([complex(json_number(re, f"{where}[{k}][0]"),
+                                     json_number(im, f"{where}[{k}][1]"))
+                             for k, (re, im) in enumerate(vec)]))
     return Subspace.from_spanning(out, ambient, tol)
 
 

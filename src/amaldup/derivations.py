@@ -7,8 +7,9 @@ are single nullspace or span computations on the Leibniz system: this
 is the direct route.  Its Leibniz identity is written once, as the row
 blocks of :func:`_leibniz_blocks` (up to one fold buffer of left
 factors e_i at a time), which the nullspace solves fold into one R
-factor without stacking; :func:`derivation_constraints` stacks them for
-every e_i, and :func:`derivation_defect` is their residual.
+factor without stacking; :func:`derivation_defect` is their residual.
+Multipliers (:mod:`amaldup.multipliers`) are derivations into a
+one-sided module and read the same rows.
 
 The solves write those rows only at ``alg.generators``, a set G with
 span(G ∪ G·G) = A.  That suffices: the elements a at which D obeys
@@ -16,12 +17,10 @@ D(ax) = D(a)x + aD(x) for every x form a subspace S, and S is closed
 under products, since for a, b in S, D(ab) = D(a)b + aD(b) and
 D(abx) = D(a)bx + aD(bx) = D(ab)x + abD(x).  So S contains G, G·G and
 their span, which is A.  Nothing here depends on the bimodule, so it
-covers every dual level and the cyclic space, and it is the same
-argument for multipliers: the a with T(ax) = aT(x) for every x
-(T commutes with L_a) form a subalgebra, as L_ab = L_a L_b, and so do
-the a with T commuting with R_a, as R_ab = R_b R_a.  Fewer rows can
-leave a singular value nearer the cut, so a decision within 10× of it
-is made on every row instead (``every`` of :func:`_streamed_nullspace`).
+covers every dual level, the cyclic space and the one-sided modules of
+the multipliers.  Fewer rows can leave a singular value nearer the
+cut, so a decision within 10× of it is made on every row instead
+(``every`` of :func:`_streamed_nullspace`).
 
 The block route splits a derivation of a duplication into the level-n
 dual into D1A|D1F|D2A|D2F and states the paper's identities once, in
@@ -84,12 +83,6 @@ def _leibniz_blocks(mult: np.ndarray, bim: DualBimodule, left=None):
                 - bim.left_ops[i][:, None, :, :, None]
                 * eye_n[None, :, None, None, :])
         yield rows.reshape(len(i) * n * dx, dx * n)
-
-
-def derivation_constraints(mult: np.ndarray, bim: DualBimodule) -> np.ndarray:
-    """Leibniz constraint matrix over vec(D), rows for every basis pair."""
-    empty = np.zeros((0, bim.module_dim * mult.shape[0]))
-    return np.vstack([empty, *_leibniz_blocks(mult, bim)])
 
 
 def derivation_space(alg: FinDimAlgebra, bim: DualBimodule,

@@ -1,12 +1,12 @@
 """Multiplier spaces and their four-block structure on a duplication.
 
-A left multiplier of C is an operator commuting with every left
-multiplication, ``T(cx) = c T(x)``; the space of all of them is a single
-nullspace over operator coordinates, ``vec(T) = T.reshape(-1)``.  That
-commutant system on the assembled duplication, with the operators of
-``alg.generators`` only (enough, by the closure argument in
-:mod:`amaldup.derivations`) streamed into one R factor, is the direct
-route.
+A left multiplier of C is an operator with ``T(cx) = c T(x)``, that is,
+a derivation of C into C with the right action zero; a right multiplier,
+``T(cx) = T(c) x``, is one with the left action zero.  The space of all
+of them is a single nullspace over operator coordinates,
+``vec(T) = T.reshape(-1)``: the Leibniz rows of
+:mod:`amaldup.derivations` for that one-sided module at
+``alg.generators``, streamed into one R factor, are the direct route.
 
 The block route splits a multiplier into T1A|T1F|T2A|T2F and states its
 eight identities once, in :func:`multiplier_identities`; the residual
@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BimoduleAction, Duplication, FinDimAlgebra, span_products
+from .derivations import _leibniz_blocks
 from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
-                    BlockQuadruple, block_nullspace, block_residuals,
-                    duplication_dual_blocks, nth_dual_bimodule)
+                    BlockQuadruple, DualBimodule, block_nullspace,
+                    block_residuals, duplication_dual_blocks,
+                    nth_dual_bimodule)
 from .errors import DecompositionDefect, ShapeError
-from .linalg import (_FOLD_ROWS_PER_COL, DEFAULT_TOL, Subspace,
-                     _streamed_nullspace, check_bound)
+from .linalg import DEFAULT_TOL, Subspace, _streamed_nullspace, check_bound
 
 
 @dataclass(frozen=True)
@@ -42,37 +43,24 @@ class MultiplierQuadruple(BlockQuadruple):
     t2_f: np.ndarray = field(repr=False)
 
 
-def _commutant_blocks(ops: np.ndarray):
-    """The rows of ``T @ op - op @ T = 0`` over vec(T), for up to
-    ``_FOLD_ROWS_PER_COL`` ops (d² rows each) per block."""
-    d = ops.shape[1]
-    eye = np.eye(d)
-    for start in range(0, len(ops), _FOLD_ROWS_PER_COL):
-        op = ops[start:start + _FOLD_ROWS_PER_COL]
-        # axes (o, a, b | c, e): row (o, a, b) is entry (a, b) of
-        # T op_o - op_o T, column (c, e) is T[c, e]
-        rows = (eye[None, :, None, :, None] * op.transpose(0, 2, 1)[:, None, :, None, :]
-                - op[:, :, None, :, None] * eye[None, None, :, None, :])
-        yield rows.reshape(len(op) * d * d, d * d)
-
-
-def commutant_constraints(ops: np.ndarray) -> np.ndarray:
-    """Rows of ``T @ op - op @ T = 0`` over vec(T), stacked for all ops."""
-    d = ops.shape[1]
-    return np.vstack([np.zeros((0, d * d)), *_commutant_blocks(ops)])
-
-
 def multiplier_space(alg: FinDimAlgebra, side: str = "left",
                      tol: float = DEFAULT_TOL) -> Subspace:
-    """Operators commuting with all left (or right) multiplications."""
+    """Left multipliers, ``T(ab) = aT(b)``, or right ones, ``T(ab) = T(a)b``:
+    the derivations into A with the right (or left) action zero.  A scalar
+    multiplication, ``L_a = cI``, gives rows that cancel to round-off, so
+    the cut has the absolute floor ``tol·max|ops|``."""
     if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
     bim = nth_dual_bimodule(alg, 0)
     ops = bim.left_ops if side == "left" else bim.right_ops
-    _, null = _streamed_nullspace(_commutant_blocks(ops[list(alg.generators)]),
-                                  alg.dim * alg.dim, tol,
-                                  atol=tol * float(np.max(np.abs(ops), initial=0.0)),
-                                  every=lambda: _commutant_blocks(ops))
+    zero = np.zeros_like(ops)
+    one_sided = (DualBimodule(0, ops, zero) if side == "left"
+                 else DualBimodule(0, zero, ops))
+    _, null = _streamed_nullspace(
+        _leibniz_blocks(alg.mult, one_sided, alg.generators),
+        alg.dim * alg.dim, tol,
+        atol=tol * float(np.max(np.abs(ops), initial=0.0)),
+        every=lambda: _leibniz_blocks(alg.mult, one_sided))
     return null
 
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from amaldup.algebra import (BimoduleAction, FinDimAlgebra, direct_sum,
-                             duplicate, join_element, l1_norm, lau_action,
-                             left_family, natural_action, right_family,
-                             span_products, validate_action, validate_algebra)
+                             duplicate, lau_action, left_family,
+                             natural_action, right_family, span_products,
+                             validate_action, validate_algebra)
 from amaldup.errors import IncompatibleAction, MissingAction, NotACharacter
 from amaldup.sampling import random_triple
 
@@ -166,20 +165,6 @@ class TestSpans:
     def test_triangular_left_action_spans_module(self, triangular):
         a, _, act = triangular
         assert span_products(a, "left_action", act).dim == 1
-
-
-class TestNorm:
-    def test_values(self):
-        assert l1_norm([0.0, 0.0]) == 0.0
-        assert l1_norm([3.0, 4.0j]) == 7.0
-
-    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_additivity_across_parts(self, seed, da, df):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(da) + 1j * rng.standard_normal(da)
-        b = rng.standard_normal(df) + 1j * rng.standard_normal(df)
-        assert l1_norm(join_element(x, b)) == pytest.approx(l1_norm(x) + l1_norm(b))
 
 
 class TestCommutativityCriterion:

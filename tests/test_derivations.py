@@ -6,27 +6,28 @@ import pytest
 from amaldup.algebra import (BimoduleAction, FinDimAlgebra, direct_sum,
                              duplicate, natural_action, span_products)
 from amaldup.derivations import (CYCLIC_IDENTITIES, _antisymmetry_rows,
-                                 cohomology, corollary_dt_check,
+                                 _leibniz_blocks, cohomology,
+                                 corollary_dt_check,
                                  cyclic_amenability, cyclic_derivation_space,
                                  cyclic_quadruple_defects,
                                  cyclic_quadruple_space,
                                  decompose_derivation,
-                                 derivation_constraints, derivation_defect,
+                                 derivation_defect,
                                  derivation_identities,
                                  derivation_quadruple_space, derivation_space,
                                  DerivationQuadruple, inner_derivation,
                                  inner_space, is_inner_match,
                                  module_derivation_space, property_h,
                                  unital_form_check, weak_amenability)
-from amaldup.duals import (BlockLayout, block_nullspace, block_residuals,
-                           duplication_dual_blocks, duplication_nth_dual,
-                           nth_dual_bimodule, slot_system)
+from amaldup.duals import (BlockLayout, DualBimodule, block_nullspace,
+                           block_residuals, duplication_dual_blocks,
+                           duplication_nth_dual, nth_dual_bimodule,
+                           slot_system)
 from amaldup.errors import HypothesisNotMet, UnitRequired
 from amaldup.linalg import (DEFAULT_TOL, rank_nullspace, solve_affine,
                             subspace_equal, subspace_intersect)
-from amaldup.multipliers import (commutant_constraints, left_multiplier_space,
-                                 multiplier_identities, multiplier_space,
-                                 quadruple_space)
+from amaldup.multipliers import (left_multiplier_space, multiplier_identities,
+                                 multiplier_space, quadruple_space)
 from amaldup.sampling import (COMMUTATIVE_CORES, NONCOMMUTATIVE_CORES,
                               random_triple, random_unitary)
 
@@ -406,8 +407,9 @@ class TestLadder:
         assert quadruple_space(alg, alg, act).dim == n
 
     def test_direct_route_never_holds_the_dense_system(self):
-        # at N = 20 the level-0 Leibniz and commutant systems are both
-        # 8000 x 400 complex; the streamed solves peak below that size
+        # at N = 20 the level-0 Leibniz system and the left multipliers'
+        # one-sided one are both 8000 x 400 complex; the streamed solves
+        # peak below that size
         _, _, dup = ladder_duplication(20)
         bim = nth_dual_bimodule(dup, 0)
         dense_bytes = 20 ** 3 * 20 ** 2 * 16
@@ -436,7 +438,7 @@ def kron_derivation_constraints(mult, bim):
     """Reference: the Leibniz rows of one basis pair at a time, by kron."""
     n, dx = mult.shape[0], bim.module_dim
     eye = np.eye(n)
-    blocks = []
+    blocks = [np.zeros((0, dx * n))]
     for i in range(n):
         for j in range(n):
             block = np.kron(np.eye(dx), mult[i, j][None, :])
@@ -448,8 +450,10 @@ def kron_derivation_constraints(mult, bim):
 
 def kron_commutant_constraints(ops):
     """Reference: the rows of ``T op - op T`` one operator at a time."""
-    eye = np.eye(ops.shape[1])
-    return np.vstack([np.kron(eye, op.T) - np.kron(op, eye) for op in ops])
+    d = ops.shape[1]
+    eye = np.eye(d)
+    return np.vstack([np.zeros((0, d * d))]
+                     + [np.kron(eye, op.T) - np.kron(op, eye) for op in ops])
 
 
 def same_bits(x, y):
@@ -483,27 +487,24 @@ def loop_antisymmetry_rows(n):
 class TestDirectSystems:
     def test_builders_match_kron_reference(
             self, zero_pair, lau_unital, module_extension, triangular):
-        # the vectorised builders form the same products in the same row
-        # order and subtract in the same order as the per-pair kron, so the
-        # matrices agree bit for bit, signed zeros included
+        # the vectorised builder forms the same products in the same row
+        # order and subtracts in the same order as the per-pair kron, so the
+        # matrices agree bit for bit, signed zeros included, at every dual
+        # level and for the one-sided modules of the multipliers
         rng = np.random.default_rng(7)
         triples = [zero_pair, lau_unital, module_extension, triangular]
         triples += [random_triple(rng)[:3] for _ in range(6)]
         for a, f, act in triples:
             for alg in (a, f, duplicate(a, f, act, validate=False)):
-                for n in range(4):
-                    bim = nth_dual_bimodule(alg, n)
-                    assert same_bits(derivation_constraints(alg.mult, bim),
+                modules = [nth_dual_bimodule(alg, n) for n in range(4)]
+                for bim in modules + one_sided_modules(alg):
+                    assert same_bits(np.vstack(list(_leibniz_blocks(alg.mult, bim))),
                                      kron_derivation_constraints(alg.mult, bim))
-                for op in (alg.left_op, alg.right_op):
-                    ops = np.stack([op(e) for e in np.eye(alg.dim)])
-                    assert same_bits(commutant_constraints(ops),
-                                     kron_commutant_constraints(ops))
 
     def test_defect_is_the_constraint_residual(
             self, zero_pair, lau_unital, module_extension, triangular):
-        # the residual of derivation_constraints agrees with the per-pair
-        # loop on random matrices and on derivations
+        # the residual of the Leibniz rows agrees with the per-pair loop
+        # on random matrices and on derivations
         rng = np.random.default_rng(8)
         triples = [zero_pair, lau_unital, module_extension, triangular]
         triples += [random_triple(rng)[:3] for _ in range(6)]
@@ -563,6 +564,14 @@ def commutant_ops(alg, side):
     return np.array([op(e) for e in np.eye(alg.dim)]).reshape((alg.dim,) * 3)
 
 
+def one_sided_modules(alg):
+    """A over itself with the right action zero, then with the left zero:
+    the modules whose derivations are the left and right multipliers."""
+    bim = nth_dual_bimodule(alg, 0)
+    zero = np.zeros_like(bim.left_ops)
+    return [DualBimodule(0, bim.left_ops, zero), DualBimodule(0, zero, bim.right_ops)]
+
+
 class TestGenerators:
     def test_depth_two_spans_the_algebra(
             self, zero_pair, lau_unital, module_extension, triangular):
@@ -614,19 +623,19 @@ def moved(alg, s):
 
 
 def assert_direct_route_is_the_dense_solve(alg, levels):
-    """Z1 at ``levels``, cyclic Z1 and both LMs against one SVD of all
-    their rows stacked."""
+    """Z1 at ``levels``, cyclic Z1 and both LMs against one SVD of the
+    dense per-pair Leibniz rows, or of the commutant rows T op = op T."""
     for n in levels:
         bim = nth_dual_bimodule(alg, n)
-        assert_same_solve(derivation_constraints(alg.mult, bim),
+        assert_same_solve(kron_derivation_constraints(alg.mult, bim),
                           derivation_space(alg, bim))
     bim = nth_dual_bimodule(alg, 1)
-    assert_same_solve(np.vstack([derivation_constraints(alg.mult, bim),
+    assert_same_solve(np.vstack([kron_derivation_constraints(alg.mult, bim),
                                  _antisymmetry_rows(alg.dim)]),
                       cyclic_derivation_space(alg))
     for side in ("left", "right"):
         ops = commutant_ops(alg, side)
-        assert_same_solve(commutant_constraints(ops), multiplier_space(alg, side),
+        assert_same_solve(kron_commutant_constraints(ops), multiplier_space(alg, side),
                           atol=DEFAULT_TOL * float(np.max(np.abs(ops), initial=0.0)))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,26 @@ class TestParse:
     def test_non_utf8(self):
         with pytest.raises(ParseError, match="UTF-8"):
             parse_bundle(b"\xff\xfe{}")
+
+    @pytest.mark.parametrize("path, value", [
+        ("algebra_a.dim", 1.9), ("algebra_a.dim", "1"), ("algebra_a.dim", True),
+        ("algebra_a.mult[0][0]", 0.7), ("algebra_a.mult[0][2]", True),
+        ("action.left[0][0]", 0.7), ("action.right[0][1]", "0"),
+        ("algebra_f.mult[0][3]", "1.0"), ("action.left[0][4]", False),
+        ("action.right[0][3]", 10 ** 400)])
+    def test_only_json_integers_and_numbers(self, path, value):
+        # int() and float() would truncate or convert all but the last,
+        # which float() cannot convert at all
+        with open(fixture_path("lau_unital"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        *keys, last = [int(k) if k.isdigit() else k
+                       for k in path.replace("]", "").replace("[", ".").split(".")]
+        target = obj
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ParseError, match=re.escape(f"'{path}'")):
+            parse_bundle(json.dumps(obj))
 
 
 class TestRoundtrip:
@@ -266,7 +287,9 @@ class TestCli:
         assert "is-left-ideal" in report
 
     @pytest.mark.parametrize("content", ['{"vectors": [[1, 2]]}', '[1, 2]',
-                                         '{"vectors": [[[1, "x"], [0, 0]]]}'])
+                                         '{"vectors": [[[1, "x"], [0, 0]]]}',
+                                         '{"vectors": [[[1, 0], ["1", 0]]]}',
+                                         '{"vectors": [[[true, 0], [0, 0]]]}'])
     def test_ideals_rejects_malformed_subspace(self, tmp_path, content):
         sub = tmp_path / "sub.json"
         sub.write_text(content)
@@ -292,7 +315,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, option", [
         ("amenability", "--max-level"), ("derivations", "--level"),
-        ("property-h", "--n")])
+        ("property-h", "--n"), ("check-paper", "--seed")])
     def test_levels_must_be_nonnegative(self, command, option, capsys):
         path = fixture_path("lau_unital")
         assert run_command([command, path, option, "-1"]) == (2, "")

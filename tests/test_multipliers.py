@@ -45,7 +45,7 @@ class TestMultiplierSpace:
 
     def test_left_scalar_every_operator(self):
         # every left multiplication is a scalar, so every operator commutes
-        # with all of them; the commutant system is pure round-off
+        # with all of them; the multiplier rows are pure round-off
         core = _left_scalar(np.array([1.0, -0.5, 0.25]))
         moved = _transform_core(core, random_unitary(np.random.default_rng(8), 3))
         assert left_multiplier_space(FinDimAlgebra.from_mult(moved.mult)).dim == 9
