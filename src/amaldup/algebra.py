@@ -144,9 +144,6 @@ class BimoduleAction:
         return BimoduleAction(np.zeros((f_dim, a_dim, a_dim), dtype=complex),
                               np.zeros((a_dim, f_dim, a_dim), dtype=complex))
 
-    def right_act(self, x, beta) -> np.ndarray:
-        return np.einsum("i,p,ipk->k", as_cvector(x), as_cvector(beta), self.right)
-
     def left_op(self, beta) -> np.ndarray:
         """Matrix of x -> beta . x on A."""
         return np.einsum("p,pik->ki", as_cvector(beta), self.left)

@@ -49,10 +49,9 @@ import numpy as np
 
 from .algebra import BimoduleAction, Duplication, FinDimAlgebra
 from .duals import (D1A, D1F, D2A, D2F, L, R, BlockIdentity, BlockLayout,
-                    BlockQuadruple, DualActionBlocks, DualBimodule,
-                    TransposedSum, block_nullspace, block_residuals,
-                    duplication_dual_blocks, duplication_nth_dual,
-                    nth_dual_bimodule, slot_system)
+                    BlockQuadruple, DualActionBlocks, DualBimodule, TransposedSum,
+                    block_nullspace, block_residuals, duplication_dual_blocks,
+                    duplication_nth_dual, nth_dual_bimodule)
 from .errors import DecompositionDefect, HypothesisNotMet, UnitRequired
 from .linalg import (_FOLD_ROWS_PER_COL, DEFAULT_TOL, Subspace,
                      _streamed_nullspace, check_bound, rank_nullspace,
@@ -389,10 +388,10 @@ def module_derivation_space(a: FinDimAlgebra, f: FinDimAlgebra,
     """
     if n % 2 == 1:
         raise ValueError("module derivations live at even dual levels")
-    identities = [i for i in derivation_identities(a, f, act, n) if i.slot == D1A]
-    _, null = rank_nullspace(
-        slot_system(identities, BlockLayout(a.dim, f.dim), D1A), tol)
-    return null
+    layout = BlockLayout(a.dim, f.dim)
+    rows = (i.coefficients(layout)[D1A]
+            for i in derivation_identities(a, f, act, n) if i.slot == D1A)
+    return _streamed_nullspace(rows, layout.size(D1A), tol)[1]
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ from .algebra import (BimoduleAction, Duplication, FinDimAlgebra, duplicate,
                       left_family, right_family)
 from .errors import ArensDefect, InternalInconsistency
 from .ideals import block_subspace
-from .linalg import (DEFAULT_TOL, IDENTITY_TOL, Subspace, check_bound,
-                     rank_nullspace, subspace_equal, subspace_intersect)
+from .linalg import (DEFAULT_TOL, IDENTITY_TOL, Subspace, _streamed_nullspace,
+                     check_bound, rank_nullspace, subspace_equal, subspace_intersect)
 
 
 def first_adjoint(tensor: np.ndarray) -> np.ndarray:
@@ -225,17 +225,16 @@ def duplication_nth_dual(dup: Duplication, n: int) -> DualBimodule:
 #     D_s T[x, y] - sum_L Op[x] D_t e_y - sum_R Op[y] D_t e_x = 0
 #
 # for a product or action tensor T and terms (side, slot t, family Op)
-# from the blockwise dual tower.  One BlockIdentity record yields both its
-# max-abs residual and its rows, split by the slots whose columns they
-# touch, over vec(D1A) | vec(D1F) | vec(D2A) | vec(D2F); a TransposedSum
-# does the same for D_s + D_t^T = 0.  Most identities touch one slot
-# only, so block_nullspace solves in two stages: each slot's local
-# identities over that slot's columns, then the coupling identities in
-# the coordinates of the local nullspaces.  Every stage cuts at the same
-# absolute floor, tol * max(1, largest entry of the joint system), so a
-# local system of pure round-off is not promoted to full rank by its own
-# relative cut.  These records are the block route only: the direct route
-# never reads them.
+# from the blockwise dual tower; a TransposedSum reads D_s + D_t^T = 0.
+# A record's rows over vec(D1A) | vec(D1F) | vec(D2A) | vec(D2F), split
+# by the slots they touch (``slots``), are its only statement: both
+# block_residuals and block_nullspace read them.  Most identities touch
+# one slot only, so block_nullspace solves each slot's local identities
+# over its columns, then the coupling ones in the coordinates of the
+# local nullspaces, streaming the rows of both stages one identity at a
+# time.  Both cut at one absolute floor, tol * max(1, largest entry of the
+# joint system), so a local system of pure round-off is not promoted to
+# full rank by its own relative cut.  The direct route never reads these.
 
 D1A, D1F, D2A, D2F = range(4)
 L, R = "L", "R"
@@ -305,6 +304,10 @@ class BlockIdentity(NamedTuple):
     tensor: np.ndarray
     terms: tuple = ()
 
+    @property
+    def slots(self) -> frozenset:
+        return frozenset((self.slot, *(t for _, t, _ in self.terms)))
+
     def row_count(self, layout: BlockLayout) -> int:
         x, y, _ = self.tensor.shape
         return x * y * layout.shape(self.slot)[0]
@@ -314,25 +317,24 @@ class BlockIdentity(NamedTuple):
         return max(float(np.max(np.abs(arr), initial=0.0))
                    for arr in (self.tensor, *(ops for _, _, ops in self.terms)))
 
-    def residual(self, blocks):
-        """Max-abs residual; blocks with leading axes give one per index."""
-        r = np.einsum("xym,...km->...xyk", self.tensor, blocks[self.slot])
-        for side, t, ops in self.terms:
-            spec = "xkm,...my->...xyk" if side == L else "ykm,...mx->...xyk"
-            r = r - np.einsum(spec, ops, blocks[t])
-        return np.max(np.abs(r), axis=(-3, -2, -1), initial=0.0)
-
     def coefficients(self, layout: BlockLayout) -> dict[int, np.ndarray]:
-        """This identity's rows, split by the slots whose columns they touch."""
-        rows, s = self.row_count(layout), self.slot
-        cols = {s: np.zeros((rows, layout.size(s)), dtype=complex)}
-        cols[s] += np.einsum("xym,kl->xyklm", self.tensor,
-                             np.eye(layout.shape(s)[0])).reshape(rows, -1)
+        """This identity's rows, split by the slots whose columns they touch.
+
+        Row (x, y, k) is entry k of the identity at (e_x, e_y), column
+        (l, m) is D_t[l, m]; each term is a broadcast product.
+        """
+        (p, q), rows = layout.shape(self.slot), self.row_count(layout)
+        eye = np.eye(max(layout.a_dim, layout.f_dim), dtype=complex)
+        cols = {self.slot: (eye[None, None, :p, :p, None]
+                            * self.tensor[:, :, None, None, :]).reshape(rows, p * q)}
         for side, t, ops in self.terms:
-            spec = "xkm,yz->xykmz" if side == L else "ykm,xz->xykmz"
-            block = cols.setdefault(t, np.zeros((rows, layout.size(t)), dtype=complex))
-            block -= np.einsum(spec, ops,
-                               np.eye(layout.shape(t)[1])).reshape(rows, -1)
+            n = layout.shape(t)[1]
+            if side == L:    # Op[x] D_t e_y
+                block = ops[:, None, :, :, None] * eye[None, :n, None, None, :n]
+            else:            # Op[y] D_t e_x
+                block = ops[None, :, :, :, None] * eye[:n, None, None, None, :n]
+            block = block.reshape(rows, layout.size(t))
+            cols[t] = np.subtract(cols.get(t, 0), block, out=block)
         return cols
 
 
@@ -343,36 +345,38 @@ class TransposedSum(NamedTuple):
     slot: int
     other: int
 
+    @property
+    def slots(self) -> frozenset:
+        return frozenset((self.slot, self.other))
+
     def row_count(self, layout: BlockLayout) -> int:
         return layout.size(self.slot)
 
     def scale(self) -> float:
         return 1.0
 
-    def residual(self, blocks):
-        r = blocks[self.slot] + np.swapaxes(blocks[self.other], -1, -2)
-        return np.max(np.abs(r), axis=(-2, -1), initial=0.0)
-
     def coefficients(self, layout: BlockLayout) -> dict[int, np.ndarray]:
+        """Row (k, m) reads D_slot[k, m] and D_other[m, k]."""
         p, q = layout.shape(self.slot)
-        cols = {self.slot: np.eye(p * q, dtype=complex)}
-        block = cols.setdefault(self.other, np.zeros((p * q, p * q), dtype=complex))
-        block += np.einsum("ka,mb->kmba", np.eye(p), np.eye(q)).reshape(p * q, -1)
-        return cols
+        eye = np.eye(p * q, dtype=complex)
+        swap = eye.reshape(p * q, p, q).swapaxes(1, 2).reshape(p * q, p * q)
+        if self.other == self.slot:
+            return {self.slot: eye + swap}
+        return {self.slot: eye, self.other: swap}
 
 
 def block_residuals(identities, blocks) -> dict:
-    """Max-abs residual of each identity on the blocks of a quadruple, or
-    per quadruple of a stack whose blocks carry leading axes."""
-    return {ident.name: ident.residual(blocks) for ident in identities}
+    """``max|sum_t rows_t vec(D_t)|`` of each identity on a quadruple, or per
+    quadruple of a stack whose blocks carry leading axes."""
+    lead, layout = blocks[D1A].shape[:-2], BlockLayout(*blocks[D1F].shape[-2:])
+    count = int(np.prod(lead))
+    vecs = [np.reshape(b, (count, b.shape[-2] * b.shape[-1])).T for b in blocks]
 
+    def residual(ident):
+        r = sum(rows @ vecs[t] for t, rows in ident.coefficients(layout).items())
+        return np.max(np.abs(r), axis=0, initial=0.0).reshape(lead)[()]
 
-def slot_system(identities, layout: BlockLayout, slot: int) -> np.ndarray:
-    """The rows of identities that all touch ``slot``, over its columns only.
-
-    The other slots' columns are never built.
-    """
-    return np.vstack([ident.coefficients(layout)[slot] for ident in identities])
+    return {ident.name: residual(ident) for ident in identities}
 
 
 def block_nullspace(identities, layout: BlockLayout,
@@ -384,29 +388,32 @@ def block_nullspace(identities, layout: BlockLayout,
     multiplies each slot's columns of the coupling identities by N_s and
     returns ``blockdiag(N_s) . null(reduced)``, an orthonormal basis since
     the N_s have orthonormal columns on disjoint coordinates.  Each stage
-    cuts at ``max(tol * sigma_max, floor)`` with the one absolute floor
+    streams its rows, one identity at a time, into
+    :func:`~amaldup.linalg._streamed_nullspace` and cuts at
+    ``max(tol * sigma_max, floor)`` with the one absolute floor
     ``tol * max(1, largest tensor or operator entry)``, the scale of the
     joint system's entries.
     """
     floor = tol * max([1.0] + [ident.scale() for ident in identities])
-    split = [(ident.row_count(layout), ident.coefficients(layout))
-             for ident in identities]
-    local = [[cols[s] for _, cols in split if cols.keys() == {s}]
+    slots = [ident.slots for ident in identities]
+    nulls = [_streamed_nullspace((ident.coefficients(layout)[s]
+                                  for ident, touched in zip(identities, slots)
+                                  if touched == {s}),
+                                 layout.size(s), tol, floor)[1].basis
              for s in range(4)]
-    coupling = [(rows, cols) for rows, cols in split if len(cols) > 1]
-    nulls = [rank_nullspace(np.vstack(blocks), tol, floor)[1].basis if blocks
-             else np.eye(layout.size(s), dtype=complex)
-             for s, blocks in enumerate(local)]
     ends = np.cumsum([0] + [n.shape[1] for n in nulls])
-    starts = np.cumsum([0] + [rows for rows, _ in coupling])
-    reduced = np.zeros((starts[-1], ends[-1]), dtype=complex)
-    for (_, cols), start, stop in zip(coupling, starts[:-1], starts[1:]):
-        for t, block in cols.items():
-            reduced[start:stop, ends[t]:ends[t + 1]] = block @ nulls[t]
-    _, null = rank_nullspace(reduced, tol, floor)
-    basis = np.vstack([n @ null.basis[ends[s]:ends[s + 1]]
-                       for s, n in enumerate(nulls)])
-    return Subspace(layout.offsets[-1], basis)
+
+    def reduced():
+        for ident, touched in zip(identities, slots):
+            if len(touched) > 1:
+                chunk = np.zeros((ident.row_count(layout), ends[-1]), dtype=complex)
+                for t, block in ident.coefficients(layout).items():
+                    chunk[:, ends[t]:ends[t + 1]] = block @ nulls[t]
+                yield chunk
+
+    _, null = _streamed_nullspace(reduced(), ends[-1], tol, floor)
+    return Subspace(layout.offsets[-1], np.vstack(
+        [n @ null.basis[ends[s]:ends[s + 1]] for s, n in enumerate(nulls)]))
 
 
 # ---------------------------------------------------------------------------

@@ -105,13 +105,9 @@ def product_ideal_test(dup: Duplication, i_sub: Subspace, j_sub: Subspace,
     i_left = is_ideal(a, i_sub, "left", tol)
     j_left = is_ideal(f, j_sub, "left", tol)
     i_mod = submodule_defect(act, i_sub, "left") <= tol
-    # A . J: right-action values a_i . b for b in J's basis
-    vectors = []
-    for col in range(j_sub.dim):
-        beta = j_sub.basis[:, col]
-        for e in np.eye(a.dim):
-            vectors.append(act.right_act(e, beta))
-    aj_inside = i_sub.residual(vectors) <= tol if vectors else True
+    # A . J: column i of right_op(b) is a_i . b, for b in J's basis
+    products = [act.right_op(beta) for beta in j_sub.basis.T]
+    aj_inside = i_sub.residual(np.hstack(products)) <= tol if products else True
     direct = is_ideal(dup, block_subspace(i_sub, j_sub), "left", tol)
     return ProductIdealReport(i_left, j_left, i_mod, aj_inside, direct)
 

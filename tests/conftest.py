@@ -103,7 +103,7 @@ def extension_reference(a, f, act, n=0, tol=DEFAULT_TOL):
     level = 2 * n + 1
     z1 = derivation_space(a, nth_dual_bimodule(a, level), tol)
     identities = [i for i in derivation_identities(a, f, act, level)
-                  if {i.slot, *(t for _, t, _ in i.terms)} & {D1F, D2A}]
+                  if i.slots & {D1F, D2A}]
     layout = BlockLayout(a.dim, f.dim)
     system = block_system(identities, layout)
     offs = layout.offsets

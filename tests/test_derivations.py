@@ -19,13 +19,13 @@ from amaldup.derivations import (CYCLIC_IDENTITIES, _antisymmetry_rows,
                                  inner_space, is_inner_match,
                                  module_derivation_space, property_h,
                                  unital_form_check, weak_amenability)
-from amaldup.duals import (BlockLayout, DualBimodule, block_nullspace,
-                           block_residuals, duplication_dual_blocks,
-                           duplication_nth_dual, nth_dual_bimodule,
-                           slot_system)
+from amaldup.duals import (L, BlockLayout, DualBimodule, TransposedSum,
+                           block_nullspace, block_residuals,
+                           duplication_dual_blocks, duplication_nth_dual,
+                           nth_dual_bimodule)
 from amaldup.errors import HypothesisNotMet, UnitRequired
-from amaldup.linalg import (DEFAULT_TOL, rank_nullspace, solve_affine,
-                            subspace_equal, subspace_intersect)
+from amaldup.linalg import (_FOLD_ROWS_PER_COL, DEFAULT_TOL, rank_nullspace,
+                            solve_affine, subspace_equal, subspace_intersect)
 from amaldup.multipliers import (left_multiplier_space, multiplier_identities,
                                  multiplier_space, quadruple_space)
 from amaldup.sampling import (COMMUTATIVE_CORES, NONCOMMUTATIVE_CORES,
@@ -257,36 +257,64 @@ class TestCyclic:
         assert defects["d1a_antisymmetric"] > 0.5
 
 
+def loop_block_residual(ident, blocks):
+    """Reference: an identity's max-abs residual one pair (x, y) at a time."""
+    if isinstance(ident, TransposedSum):
+        return float(np.max(np.abs(blocks[ident.slot] + blocks[ident.other].T),
+                            initial=0.0))
+    x_dim, y_dim, _ = ident.tensor.shape
+    worst = 0.0
+    for x in range(x_dim):
+        for y in range(y_dim):
+            resid = blocks[ident.slot] @ ident.tensor[x, y]
+            for side, t, ops in ident.terms:
+                if side == L:
+                    resid = resid - ops[x] @ blocks[t][:, y]
+                else:
+                    resid = resid - ops[y] @ blocks[t][:, x]
+            worst = max(worst, float(np.max(np.abs(resid), initial=0.0)))
+    return worst
+
+
 class TestBlockIdentities:
     def test_residuals_and_rows_come_from_one_statement(
             self, zero_pair, lau_unital, module_extension, triangular):
-        # each identity's residual is the max-abs of its own rows of the
-        # generated system applied to vec(q), and the system's nullspace
+        # the nullspace of the rows, which the residuals also read,
         # satisfies every identity
-        rng = np.random.default_rng(31)
         for a, f, act in (zero_pair, lau_unital, module_extension, triangular):
             layout = BlockLayout(a.dim, f.dim)
-            tables = [derivation_identities(a, f, act, n) for n in range(4)]
-            tables.append(derivation_identities(a, f, act, 1)
-                          + list(CYCLIC_IDENTITIES))
-            tables.append(multiplier_identities(a, f, act))
-            for identities in tables:
-                size = layout.offsets[-1]
-                coords = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                residuals = block_residuals(identities, layout.blocks(coords))
-                system = block_system(identities, layout)
-                start = 0
-                for ident in identities:
-                    stop = start + ident.row_count(layout)
-                    from_rows = np.max(np.abs(system[start:stop] @ coords))
-                    assert residuals[ident.name] == pytest.approx(
-                        from_rows, rel=1e-12, abs=1e-12), ident.name
-                    start = stop
-                assert start == len(system)
-                _, null = rank_nullspace(system)
+            for identities in identity_tables(a, f, act).values():
+                _, null = rank_nullspace(block_system(identities, layout))
                 for col in range(null.dim):
                     blocks = layout.blocks(null.basis[:, col])
                     assert max(block_residuals(identities, blocks).values()) <= 1e-10
+
+    def test_residuals_match_loop_reference(
+            self, zero_pair, lau_unital, module_extension, triangular):
+        # the residual derived from the rows agrees with the per-pair loop
+        # on random quadruples and on the block route's solutions, alone
+        # and as one stack
+        rng = np.random.default_rng(32)
+        triples = [zero_pair, lau_unital, module_extension, triangular]
+        triples += [random_triple(rng)[:3] for _ in range(40)]
+        for a, f, act in triples:
+            layout = BlockLayout(a.dim, f.dim)
+            size = layout.offsets[-1]
+            for name, identities in identity_tables(a, f, act).items():
+                coords = [rng.standard_normal(size) + 1j * rng.standard_normal(size)]
+                coords += list(block_nullspace(identities, layout).basis.T)
+                stack = [np.stack(parts) for parts in
+                         zip(*(layout.blocks(c) for c in coords))]
+                stacked = block_residuals(identities, stack)
+                for k, c in enumerate(coords):
+                    blocks = layout.blocks(c)
+                    residuals = block_residuals(identities, blocks)
+                    for ident in identities:
+                        expected = loop_block_residual(ident, blocks)
+                        assert residuals[ident.name] == pytest.approx(
+                            expected, rel=1e-10, abs=1e-12), (name, ident.name)
+                        assert stacked[ident.name][k] == pytest.approx(
+                            expected, rel=1e-10, abs=1e-12), (name, ident.name)
 
 
 def identity_tables(a, f, act):
@@ -364,18 +392,38 @@ class TestStagedSolve:
 
     def test_slot_rows_are_block_system_columns(
             self, zero_pair, lau_unital, module_extension, triangular):
+        # an identity's rows have columns in exactly its ``slots``, the
+        # split both stages read, and the per-pair loop confirms that no
+        # other slot enters the identity
+        rng = np.random.default_rng(33)
         for a, f, act in (zero_pair, lau_unital, module_extension, triangular):
             layout = BlockLayout(a.dim, f.dim)
-            offs = layout.offsets
+            size = layout.offsets[-1]
             for identities in identity_tables(a, f, act).values():
-                for slot in range(4):
-                    touching = [i for i in identities
-                                if slot in i.coefficients(layout)]
-                    if not touching:
-                        continue
-                    full = block_system(touching, layout)
-                    rows = slot_system(touching, layout, slot)
-                    assert same_bits(rows, full[:, offs[slot]:offs[slot + 1]])
+                for ident in identities:
+                    assert set(ident.coefficients(layout)) == ident.slots
+                    blocks = list(layout.blocks(rng.standard_normal(size)))
+                    before = loop_block_residual(ident, blocks)
+                    for slot in set(range(4)) - ident.slots:
+                        blocks[slot] = rng.standard_normal(blocks[slot].shape)
+                    assert loop_block_residual(ident, blocks) == before
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_folded_stages_equal_joint_reference(self, n):
+        # on ladder rungs whose identities are taller than one fold buffer,
+        # the streamed stages give the subspace of one SVD of the joint
+        # system
+        alg, act, _ = ladder_duplication(n)
+        layout = BlockLayout(alg.dim, alg.dim)
+        tables = identity_tables(alg, alg, act)
+        for name in ("level0", "level1", "cyclic", "multipliers"):
+            identities = tables[name]
+            assert any(i.row_count(layout) > _FOLD_ROWS_PER_COL * layout.size(s)
+                       for i in identities for s in i.slots), name
+            staged = block_nullspace(identities, layout)
+            _, _, joint = joint_reference(identities, layout)
+            assert staged.dim == joint.dim, name
+            assert subspace_equal(staged, joint, 1e-8), name
 
 
 def ladder_core(n):
@@ -422,6 +470,24 @@ class TestLadder:
             finally:
                 tracemalloc.stop()
             assert peak < dense_bytes
+
+    def test_block_route_never_holds_all_identities(self):
+        # at N = 20 the streamed stages of block Z1 (level 0) and of the
+        # block multiplier system peak below the bytes of all their
+        # identities' rows, which a dense assembly holds at once
+        alg, act, _ = ladder_duplication(20)
+        layout = BlockLayout(alg.dim, alg.dim)
+        for identities in (derivation_identities(alg, alg, act, 0),
+                           multiplier_identities(alg, alg, act)):
+            rows_bytes = sum(block.nbytes for ident in identities
+                             for block in ident.coefficients(layout).values())
+            tracemalloc.start()
+            try:
+                block_nullspace(identities, layout)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < rows_bytes
 
 
 def ladder_duplication(n):
