@@ -18,7 +18,6 @@ validators below report the worst defect of each identity.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,25 +43,25 @@ def right_family(tensor: np.ndarray) -> np.ndarray:
 class FinDimAlgebra:
     """An algebra over C given by basis labels and a multiplication tensor.
 
-    :attr:`unit` and :attr:`generators` are solved at the construction
-    ``tol`` on first read.
+    It keeps no tol: :meth:`unit` and :meth:`generators` are decided at the
+    caller's ``tol``, each solved on the first read at that tol.
     """
 
     mult: np.ndarray = field(repr=False)
     labels: tuple[str, ...]
-    tol: float = field(default=DEFAULT_TOL, repr=False)
 
     @property
     def dim(self) -> int:
         return self.mult.shape[0]
 
-    @functools.cached_property
-    def unit(self) -> np.ndarray | None:
-        """The two-sided unit, or None when the algebra has none."""
-        return _detect_unit(self.mult, self.tol)
+    def unit(self, tol: float = DEFAULT_TOL) -> np.ndarray | None:
+        """The two-sided unit, or None when the algebra has none at ``tol``."""
+        kept = self.__dict__.setdefault("_unit", {})
+        if tol not in kept:
+            kept[tol] = _detect_unit(self.mult, tol)
+        return kept[tol]
 
-    @functools.cached_property
-    def generators(self) -> tuple[int, ...]:
+    def generators(self, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
         """Basis indices G with span(G ∪ G·G) = A, or all of them.
 
         Greedy and seed-free: index i joins G when it raises the dimension
@@ -75,19 +74,23 @@ class FinDimAlgebra:
         less than the search costs, so G is ``range(dim)`` there without
         a search.
         """
+        kept = self.__dict__.setdefault("_generators", {})
+        if tol in kept:
+            return kept[tol]
         n, eye, picked, reached = self.dim, np.eye(self.dim), [], 0
         for i in range(n if n > _FOLD_ROWS_PER_COL else 0):
             if reached == n:
                 break
             trial = picked + [i]
             products = self.mult[trial][:, trial].reshape(-1, n)
-            dim = span_dim(np.vstack([eye[trial], products]).T, self.tol)
+            dim = span_dim(np.vstack([eye[trial], products]).T, tol)
             if dim > reached:
                 picked, reached = trial, dim
-        return tuple(picked) if reached == n else tuple(range(n))
+        kept[tol] = tuple(picked) if reached == n else tuple(range(n))
+        return kept[tol]
 
     @classmethod
-    def from_mult(cls, mult, labels=None, tol: float = DEFAULT_TOL, **parts):
+    def from_mult(cls, mult, labels=None, **parts):
         """Checked construction; ``parts`` are the fields a subclass adds."""
         mult = np.asarray(mult, dtype=complex)
         if mult.ndim != 3 or len(set(mult.shape)) != 1:
@@ -101,7 +104,7 @@ class FinDimAlgebra:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ShapeError(f"{len(labels)} labels for dimension {n}")
-        return cls(mult, labels, tol, **parts)
+        return cls(mult, labels, **parts)
 
     def multiply(self, x, y) -> np.ndarray:
         x = as_cvector(x, self.dim)
@@ -204,12 +207,11 @@ def validate_algebra(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> AlgebraRep
     """
     c = alg.mult
     assoc = associativity_defect(c)
-    unit_defect = 0.0
-    if alg.unit is not None:
+    unit, unit_defect = alg.unit(tol), 0.0
+    if unit is not None:
         ident = np.eye(alg.dim)
-        unit_defect = max(
-            float(np.max(np.abs(alg.left_op(alg.unit) - ident))),
-            float(np.max(np.abs(alg.right_op(alg.unit) - ident))))
+        unit_defect = max(float(np.max(np.abs(alg.left_op(unit) - ident))),
+                          float(np.max(np.abs(alg.right_op(unit) - ident))))
     growth = float(np.max(np.sum(np.abs(c), axis=2))) if c.size else 0.0
     return AlgebraReport(assoc, unit_defect, growth,
                          passed=(assoc <= tol and unit_defect <= tol))
@@ -280,7 +282,7 @@ def duplicate(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,
     c[da:, :da, :da] = act.left
     c[da:, da:, da:] = f.mult
     labels = tuple(f"A:{s}" for s in a.labels) + tuple(f"F:{s}" for s in f.labels)
-    return Duplication.from_mult(c, labels, tol, a=a, f=f, act=act)
+    return Duplication.from_mult(c, labels, a=a, f=f, act=act)
 
 
 def join_element(x, beta) -> np.ndarray:

@@ -257,7 +257,7 @@ class _Premises:
     def __init__(self, dup, tol):
         a, f, act = dup.a, dup.f, dup.act
         algs = {"A": a, "F": f, "dup": dup}
-        self.unital_a = a.unit is not None
+        self.unital_a = a.unit(tol) is not None
         self._weak = functools.cache(
             lambda name, parity: weak_amenability(algs[name], parity, tol))
         self.cyclic = functools.cache(lambda name: cyclic_amenability(algs[name], tol))
@@ -493,7 +493,7 @@ def audit_maximality(pool_count: int = 20, per_instance: int = 5,
             found += 1
             checked += 1
             burnside = is_maximal_left_ideal(alg, cand, tol)
-            oracle = maximality_direction_oracle(alg, cand, tol=tol)
+            oracle = maximality_direction_oracle(alg, cand, tol)
             if burnside != oracle:
                 vectors = np.stack([cand.basis.T.real, cand.basis.T.imag], -1)
                 failures.append({"note": f"pool {idx} ideal dim {cand.dim}: "

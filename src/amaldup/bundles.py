@@ -159,8 +159,8 @@ def bundle_to_obj(bundle: AlgebraBundle) -> dict:
     return obj
 
 
-def serialize_bundle(bundle: AlgebraBundle, indent: int | None = 2) -> str:
-    return json.dumps(bundle_to_obj(bundle), indent=indent)
+def serialize_bundle(bundle: AlgebraBundle) -> str:
+    return json.dumps(bundle_to_obj(bundle), indent=2)
 
 
 def bundle_from_triple(a: FinDimAlgebra, f: FinDimAlgebra, act: BimoduleAction,

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import audit as audit_mod
-from .algebra import (Duplication, duplicate, span_products, validate_action,
-                      validate_algebra)
+from .algebra import (Duplication, associativity_defect, duplicate,
+                      span_products, validate_action, validate_algebra)
 from .bundles import (AlgebraBundle, _load_json, algebra_to_obj, json_number,
                       parse_bundle)
 from .derivations import (cohomology, cyclic_cohomology,
@@ -91,10 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "property audits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, helptext, bundle=True):
+    def add(name, handler, helptext):
         p = sub.add_parser(name, parents=[common], help=helptext)
-        if bundle:
-            p.add_argument("bundle", help="path to an algebra bundle (JSON)")
+        p.add_argument("bundle", help="path to an algebra bundle (JSON)")
         p.set_defaults(handler=handler)
         return p
 
@@ -172,7 +171,8 @@ def cmd_validate(args):
                          rep.associativity_defect))
         rows.append(_row(f"{tag}-unit", _thresh(rep.unit_defect, args.tol),
                          rep.unit_defect,
-                         value="unital" if alg.unit is not None else "non-unital"))
+                         value="unital" if alg.unit(args.tol) is not None
+                         else "non-unital"))
         rows.append(_row(f"{tag}-l1-growth", "info",
                          value=rep.submultiplicativity_constant))
     act_rep = validate_action(bundle.algebra_a, bundle.algebra_f,
@@ -373,10 +373,8 @@ def cmd_check(args):
 def _bundle_checks(dup: Duplication, tol: float):
     a, f, act = dup.a, dup.f, dup.act
     rows = []
-    rep = validate_algebra(dup, tol)
-    rows.append(_row("bundle-duplication-associative",
-                     _thresh(rep.associativity_defect, tol),
-                     rep.associativity_defect))
+    assoc = associativity_defect(dup.mult)
+    rows.append(_row("bundle-duplication-associative", _thresh(assoc, tol), assoc))
     try:
         duplication_spectrum(dup, tol)
         rows.append(_row("bundle-spectrum-assembles", "pass"))

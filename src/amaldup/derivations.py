@@ -11,16 +11,18 @@ factor without stacking; :func:`derivation_defect` is their residual.
 Multipliers (:mod:`amaldup.multipliers`) are derivations into a
 one-sided module and read the same rows.
 
-The solves write those rows only at ``alg.generators``, a set G with
-span(G ∪ G·G) = A.  That suffices: the elements a at which D obeys
-D(ax) = D(a)x + aD(x) for every x form a subspace S, and S is closed
-under products, since for a, b in S, D(ab) = D(a)b + aD(b) and
-D(abx) = D(a)bx + aD(bx) = D(ab)x + abD(x).  So S contains G, G·G and
+Every direct solve is one call of :func:`_leibniz_nullspace`, the one
+reader of ``alg.generators(tol)``: it writes those rows only at G, a set
+with span(G ∪ G·G) = A, decided at the solve's own ``tol``.  That
+suffices: the elements a at which D obeys D(ax) = D(a)x + aD(x) for
+every x form a subspace S, and S is closed under products, since for
+a, b in S, D(ab) = D(a)b + aD(b) and D(abx) = D(a)bx + aD(bx) =
+D(ab)x + abD(x).  So S contains G, G·G and
 their span, which is A.  Nothing here depends on the bimodule, so it
 covers every dual level, the cyclic space and the one-sided modules of
 the multipliers.  Fewer rows can leave a singular value nearer the
-cut, so a decision within 10× of it is made on every row instead
-(``every`` of :func:`_streamed_nullspace`).
+cut, so when G is a proper subset a decision within 10× of it is made
+on every row instead (``every`` of :func:`_streamed_nullspace`).
 
 The block route splits a derivation of a duplication into the level-n
 dual into D1A|D1F|D2A|D2F and states the paper's identities once, in
@@ -84,14 +86,25 @@ def _leibniz_blocks(mult: np.ndarray, bim: DualBimodule, left=None):
         yield rows.reshape(len(i) * n * dx, dx * n)
 
 
+def _leibniz_nullspace(alg: FinDimAlgebra, bim: DualBimodule, tol: float,
+                       atol: float = 0.0, extra=()) -> Subspace:
+    """The direct solve: nullspace of the Leibniz rows into ``bim`` at G =
+    ``alg.generators(tol)`` and of the row blocks in the list ``extra``.
+    Only when G is a proper subset is an edge decision left to every row."""
+    g = alg.generators(tol)
+
+    def rows(left=None):
+        return itertools.chain(_leibniz_blocks(alg.mult, bim, left), extra)
+
+    _, null = _streamed_nullspace(rows(g), bim.module_dim * alg.dim, tol, atol,
+                                  every=rows if len(g) < alg.dim else None)
+    return null
+
+
 def derivation_space(alg: FinDimAlgebra, bim: DualBimodule,
                      tol: float = DEFAULT_TOL) -> Subspace:
-    """All derivations of the algebra into the bimodule, as vec'd matrices:
-    the Leibniz rows at ``alg.generators`` (see the module docstring)."""
-    _, null = _streamed_nullspace(_leibniz_blocks(alg.mult, bim, alg.generators),
-                                  bim.module_dim * alg.dim, tol,
-                                  every=lambda: _leibniz_blocks(alg.mult, bim))
-    return null
+    """All derivations of the algebra into the bimodule, as vec'd matrices."""
+    return _leibniz_nullspace(alg, bim, tol)
 
 
 def derivation_defect(mult: np.ndarray, bim: DualBimodule, d: np.ndarray) -> float:
@@ -126,15 +139,8 @@ def _antisymmetry_rows(n: int) -> np.ndarray:
 
 def cyclic_derivation_space(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subspace:
     """Derivations into the first dual with antisymmetric pairing matrix."""
-    bim = nth_dual_bimodule(alg, 1)
-
-    def rows(left=None):
-        return itertools.chain(_leibniz_blocks(alg.mult, bim, left),
-                               [_antisymmetry_rows(alg.dim)])
-
-    _, null = _streamed_nullspace(rows(alg.generators), alg.dim * alg.dim, tol,
-                                  every=rows)
-    return null
+    return _leibniz_nullspace(alg, nth_dual_bimodule(alg, 1), tol,
+                              extra=[_antisymmetry_rows(alg.dim)])
 
 
 @dataclass(frozen=True)
@@ -407,9 +413,9 @@ def unital_form_check(dup: Duplication, n: int,
     """With A unital, the off-diagonal blocks are determined by D1A (odd n)
     or vanish against D2F corrections (even n); verified on a Z1 basis."""
     a, f, act = dup.a, dup.f, dup.act
-    if a.unit is None:
+    e = a.unit(tol)
+    if e is None:
         raise UnitRequired("first factor has no unit")
-    e = a.unit
     b = duplication_dual_blocks(a, f, act, n)
     mix_l = np.einsum("i,ikm->km", e, b.mix_left)[None]
     mix_r = np.einsum("i,ikm->km", e, b.mix_right)[None]

@@ -136,12 +136,12 @@ def _closure(ops: np.ndarray, span: Subspace, tol: float) -> Subspace:
         span = grown
 
 
-def quotient_operators(alg: FinDimAlgebra, i_sub: Subspace,
-                       side: str = "left") -> np.ndarray:
-    """Induced basis operators on the orthogonal model of alg / I."""
+def quotient_operators(alg: FinDimAlgebra, i_sub: Subspace) -> np.ndarray:
+    """Induced basis operators on the orthogonal model of alg / I, for a
+    left ideal I."""
     # I's complement; I's basis is orthonormal, so no cut below 1 matters
     q = rank_nullspace(i_sub.basis.conj().T)[1].basis
-    return q.conj().T @ _side_ops(alg, side) @ q
+    return q.conj().T @ left_family(alg.mult) @ q
 
 
 def operator_algebra_dimension(ops: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -161,16 +161,16 @@ def operator_algebra_dimension(ops: np.ndarray, tol: float = DEFAULT_TOL) -> int
 
 
 def is_maximal_left_ideal(alg: FinDimAlgebra, i_sub: Subspace,
-                          tol: float = DEFAULT_TOL, side: str = "left") -> bool:
+                          tol: float = DEFAULT_TOL) -> bool:
     """Maximality via density of the quotient operator algebra.
 
     The quotient module is simple over the unitized algebra iff the
     generated operator algebra is everything, which over C is equivalent
     to no intermediate ideal existing.
     """
-    if not is_ideal(alg, i_sub, side, tol) or i_sub.dim >= alg.dim:
+    if not is_ideal(alg, i_sub, "left", tol) or i_sub.dim >= alg.dim:
         raise NotAProperIdeal("input is not a proper one-sided ideal")
-    ops = quotient_operators(alg, i_sub, side)
+    ops = quotient_operators(alg, i_sub)
     k = ops.shape[1]
     return operator_algebra_dimension(ops, tol) == k * k
 
@@ -180,7 +180,6 @@ _MIX_RATIO = 0.8 * np.exp(0.5j)
 
 
 def maximality_direction_oracle(alg: FinDimAlgebra, i_sub: Subspace,
-                                side: str = "left",
                                 tol: float = DEFAULT_TOL) -> bool | None:
     """Second route to maximality: grow the ideal from eigen-directions.
 
@@ -195,9 +194,9 @@ def maximality_direction_oracle(alg: FinDimAlgebra, i_sub: Subspace,
     simple: True. Otherwise None. The kernels' floor ``tol * max|mix|``
     keeps a scalar quotient's round-off from reading as a simple kernel.
     """
-    if not is_ideal(alg, i_sub, side, tol) or i_sub.dim >= alg.dim:
+    if not is_ideal(alg, i_sub, "left", tol) or i_sub.dim >= alg.dim:
         raise NotAProperIdeal("input is not a proper one-sided ideal")
-    ops = _side_ops(alg, side)
+    ops = left_family(alg.mult)
     q = rank_nullspace(i_sub.basis.conj().T)[1].basis  # I's complement
     k = q.shape[1]
     weights = _MIX_RATIO ** np.arange(1, len(ops) + 1)

@@ -4,9 +4,8 @@ A left multiplier of C is an operator with ``T(cx) = c T(x)``, that is,
 a derivation of C into C with the right action zero; a right multiplier,
 ``T(cx) = T(c) x``, is one with the left action zero.  The space of all
 of them is a single nullspace over operator coordinates,
-``vec(T) = T.reshape(-1)``: the Leibniz rows of
-:mod:`amaldup.derivations` for that one-sided module at
-``alg.generators``, streamed into one R factor, are the direct route.
+``vec(T) = T.reshape(-1)``: the Leibniz solve of
+:mod:`amaldup.derivations` for that one-sided module is the direct route.
 
 The block route splits a multiplier into T1A|T1F|T2A|T2F and states its
 eight identities once, in :func:`multiplier_identities`; the residual
@@ -21,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BimoduleAction, Duplication, FinDimAlgebra, span_products
-from .derivations import _leibniz_blocks
+from .derivations import _leibniz_nullspace
 from .duals import (D1A, D1F, D2A, D2F, L, BlockIdentity, BlockLayout,
                     BlockQuadruple, DualBimodule, block_nullspace,
                     block_residuals, duplication_dual_blocks,
                     nth_dual_bimodule)
 from .errors import DecompositionDefect, ShapeError
-from .linalg import DEFAULT_TOL, Subspace, _streamed_nullspace, check_bound
+from .linalg import DEFAULT_TOL, Subspace, check_bound
 
 
 @dataclass(frozen=True)
@@ -56,12 +55,8 @@ def multiplier_space(alg: FinDimAlgebra, side: str = "left",
     zero = np.zeros_like(ops)
     one_sided = (DualBimodule(0, ops, zero) if side == "left"
                  else DualBimodule(0, zero, ops))
-    _, null = _streamed_nullspace(
-        _leibniz_blocks(alg.mult, one_sided, alg.generators),
-        alg.dim * alg.dim, tol,
-        atol=tol * float(np.max(np.abs(ops), initial=0.0)),
-        every=lambda: _leibniz_blocks(alg.mult, one_sided))
-    return null
+    return _leibniz_nullspace(alg, one_sided, tol,
+                              atol=tol * float(np.max(np.abs(ops), initial=0.0)))
 
 
 def left_multiplier_space(alg: FinDimAlgebra, tol: float = DEFAULT_TOL) -> Subspace:

@@ -225,11 +225,11 @@ class TripleRecipe:
 
 
 def random_triple(rng: np.random.Generator, commutative_symmetric: bool = False,
-                  unital_a: bool = False, transform: bool = True,
-                  tol: float = DEFAULT_TOL
+                  unital_a: bool = False, transform: bool = True
                   ) -> tuple[FinDimAlgebra, FinDimAlgebra, BimoduleAction,
                              TripleRecipe]:
-    """One validated triple (A, F, action) plus the recipe that made it."""
+    """One triple (A, F, action), validated at ``DEFAULT_TOL``, plus the
+    recipe that made it."""
     seed_echo = int(rng.integers(2 ** 31))
     sub = np.random.default_rng(seed_echo)
     comm = COMMUTATIVE_CORES
@@ -258,10 +258,10 @@ def random_triple(rng: np.random.Generator, commutative_symmetric: bool = False,
             act = _transform_action(act, s_a, s_f)
         else:
             a_core_t, f_core_t = a_core, f_core
-        a = FinDimAlgebra.from_mult(a_core_t.mult, tol=tol)
-        f = FinDimAlgebra.from_mult(f_core_t.mult, tol=tol)
-        if not (validate_algebra(a, tol).passed and validate_algebra(f, tol).passed
-                and validate_action(a, f, act, tol).passed):
+        a = FinDimAlgebra.from_mult(a_core_t.mult)
+        f = FinDimAlgebra.from_mult(f_core_t.mult)
+        if not (validate_algebra(a).passed and validate_algebra(f).passed
+                and validate_action(a, f, act).passed):
             raise AssertionError(
                 f"generator produced an invalid triple: {a_core.name}, "
                 f"{f_core.name}, {action_name}")

@@ -38,11 +38,10 @@ from .linalg import (DEFAULT_TOL, Subspace, as_cvector, check_bound, cluster_gap
 
 @dataclass(frozen=True)
 class Character:
-    """A verified multiplicative functional, with its companion if computed."""
+    """A verified multiplicative functional."""
 
     phi: np.ndarray = field(repr=False)
     residual: float
-    tilde: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, x) -> complex:
         return complex(self.phi @ as_cvector(x, self.phi.size))

@@ -41,6 +41,15 @@ def pointwise_algebra(dim=2):
     return FinDimAlgebra.from_mult(c)
 
 
+def near_unital_algebra():
+    """C + C but for e0 e1 = 1e-7 e1: the least-squares unit (1, 1 - 5e-8)
+    leaves a unit defect of 1e-7, a unit at tol 1e-5 and none at 1e-9."""
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0] = c[1, 1, 1] = 1.0
+    c[0, 1, 1] = 1e-7
+    return FinDimAlgebra.from_mult(c)
+
+
 def matrix_algebra(n):
     """M_n on the basis E_ij (row-major): E_ij E_jl = E_il."""
     c = np.zeros((n * n,) * 3)

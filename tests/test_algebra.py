@@ -32,9 +32,9 @@ class TestValidateAlgebra:
 
     def test_unit_detection(self):
         alg = pointwise_algebra(2)
-        assert alg.unit is not None
-        assert np.allclose(alg.unit, [1.0, 1.0])
-        assert zero_algebra(2).unit is None
+        assert alg.unit() is not None
+        assert np.allclose(alg.unit(), [1.0, 1.0])
+        assert zero_algebra(2).unit() is None
 
     def test_growth_constant_reported_not_enforced(self):
         c = np.zeros((1, 1, 1))
@@ -106,8 +106,8 @@ class TestDuplicate:
 
     def test_unit_recorded_when_f_unit_acts_as_identity(self, lau_unital):
         dup = duplicate(*lau_unital)
-        assert dup.unit is not None
-        assert np.allclose(dup.unit, [0.0, 1.0], atol=1e-9)
+        assert dup.unit() is not None
+        assert np.allclose(dup.unit(), [0.0, 1.0], atol=1e-9)
 
     def test_module_extension_product(self, module_extension):
         dup = duplicate(*module_extension)
@@ -201,5 +201,5 @@ class TestConstructions:
 
     def test_direct_sum_unit(self):
         s = direct_sum(scalar_algebra("p"), scalar_algebra("q"))
-        assert s.unit is not None
-        assert np.allclose(s.unit, [1.0, 1.0])
+        assert s.unit() is not None
+        assert np.allclose(s.unit(), [1.0, 1.0])

@@ -115,17 +115,20 @@ class TestLazyUnit:
         alg = FinDimAlgebra.from_mult(np.ones((1, 1, 1)))
         dup = duplicate(*lau_unital, validate=False)
         assert calls == []
-        assert np.allclose(alg.unit, [1.0]) and alg.unit is alg.unit
-        assert np.allclose(dup.unit, [0.0, 1.0], atol=1e-9)
+        assert np.allclose(alg.unit(), [1.0]) and alg.unit() is alg.unit()
+        assert np.allclose(dup.unit(), [0.0, 1.0], atol=1e-9)
         assert len(calls) == 2
 
-    def test_unit_tolerance_is_the_construction_tolerance(self):
-        # e0 is a unit but for x e0 = (1 + 1e-6) x
+    def test_unit_tolerance_is_the_callers_tolerance(self):
+        # e0 is a unit but for x e0 = (1 + 1e-6) x; one object answers at
+        # each tol it is asked at
         c = np.zeros((2, 2, 2))
         c[0, 0, 0] = c[0, 1, 1] = 1.0
         c[1, 0, 1] = 1.0 + 1e-6
-        assert FinDimAlgebra.from_mult(c, tol=1e-3).unit is not None
-        assert FinDimAlgebra.from_mult(c, tol=1e-12).unit is None
+        alg = FinDimAlgebra.from_mult(c)
+        assert alg.unit(1e-3) is not None
+        assert alg.unit(1e-12) is None
+        assert alg.unit(1e-3) is alg.unit(1e-3)
 
 
 class TestStackedDecomposition:

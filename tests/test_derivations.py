@@ -33,7 +33,8 @@ from amaldup.sampling import (COMMUTATIVE_CORES, NONCOMMUTATIVE_CORES,
 
 from conftest import (assert_same_solve, block_system, conditioned,
                       extension_reference, group_algebra, matrix_algebra,
-                      pointwise_algebra, scalar_algebra, zero_algebra)
+                      near_unital_algebra, pointwise_algebra, scalar_algebra,
+                      zero_algebra)
 
 
 class TestDerivationSpace:
@@ -603,7 +604,7 @@ class TestDirectSystems:
                                          ladder_duplication(8)[2]]
         grid = [moved(base, conditioned(rng, base.dim, cond))
                 for cond in (1e3, 1e1, 1e2) for base in bases]
-        assert sum(len(alg.generators) < alg.dim for alg in grid) >= 3 * 7
+        assert sum(len(alg.generators()) < alg.dim for alg in grid) >= 3 * 7
         empty = zero_algebra(0)
         dup = duplicate(empty, scalar_algebra(), BimoduleAction.zero(0, 1))
         assert [left_multiplier_space(alg).dim for alg in (empty, dup)] == [0, 1]
@@ -618,8 +619,8 @@ class TestDirectSystems:
 
 
 def depth2_rank(alg):
-    """Rank of G ∪ G·G for ``alg.generators``, by numpy's own rank."""
-    g = list(alg.generators)
+    """Rank of G ∪ G·G for ``alg.generators()``, by numpy's own rank."""
+    g = list(alg.generators())
     vectors = np.vstack([np.eye(alg.dim)[g],
                          alg.mult[np.ix_(g, g)].reshape(-1, alg.dim)])
     return np.linalg.matrix_rank(vectors) if vectors.size else 0
@@ -655,19 +656,19 @@ class TestGenerators:
         algebras += [FinDimAlgebra.from_mult(matrix_algebra(n)) for n in (2, 3)]
         ladders = [ladder_duplication(n)[2] for n in range(8, 21, 2)]
         for alg in algebras + ladders:
-            g = alg.generators
+            g = alg.generators()
             assert g == tuple(sorted(set(g))) and set(g) <= set(range(alg.dim))
             assert depth2_rank(alg) == alg.dim
-        assert all(len(alg.generators) < alg.dim for alg in ladders)
-        assert sum(len(alg.generators) < alg.dim for alg in algebras) > 100
+        assert all(len(alg.generators()) < alg.dim for alg in ladders)
+        assert sum(len(alg.generators()) < alg.dim for alg in algebras) > 100
 
     def test_zero_product_takes_every_index(self):
         for core in COMMUTATIVE_CORES:
             if not core.mult.any():
                 alg = FinDimAlgebra.from_mult(core.mult)
-                assert alg.generators == tuple(range(alg.dim))
+                assert alg.generators() == tuple(range(alg.dim))
         for n in (0, 5, 9):
-            assert zero_algebra(n).generators == tuple(range(n))
+            assert zero_algebra(n).generators() == tuple(range(n))
 
     def test_edge_decisions_are_left_to_every_row(self, lau_unital):
         # C + C (the Lau duplication) at condition 10^3 beside a zero
@@ -678,7 +679,7 @@ class TestGenerators:
         for seed in range(8):
             s = conditioned(np.random.default_rng(seed), 2, 1e3)
             alg = direct_sum(moved(lau, s), zero_algebra(3))
-            assert alg.generators == (0, 2, 3, 4)
+            assert alg.generators() == (0, 2, 3, 4)
             assert_direct_route_is_the_dense_solve(alg, (0, 1))
 
 
@@ -791,6 +792,17 @@ class TestUnitalForm:
         a, f, act = zero_pair
         with pytest.raises(UnitRequired):
             unital_form_check(duplicate(a, f, act), 1)
+
+    def test_unit_decided_at_the_callers_tol(self):
+        # A has a unit at 1e-5 and none at the default tol; F's zero
+        # product gives the duplication one derivation per level to check
+        a, f = near_unital_algebra(), zero_algebra(1)
+        dup = duplicate(a, f, BimoduleAction.zero(2, 1), 1e-5)
+        for n in (0, 1):
+            report = unital_form_check(dup, n, 1e-5)
+            assert report.checked == 1 and report.passed
+            with pytest.raises(UnitRequired):
+                unital_form_check(dup, n)
 
 
 class TestPropertyH:

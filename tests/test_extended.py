@@ -61,8 +61,8 @@ class TestNestedTriangular:
 
     def test_unit_is_identity_matrix(self):
         dup = duplicate(*upper_triangular_3())
-        assert dup.unit is not None
-        ident = sum(dup.unit[i] * matrix_images()[i] for i in range(6))
+        assert dup.unit() is not None
+        ident = sum(dup.unit()[i] * matrix_images()[i] for i in range(6))
         assert np.allclose(ident, np.eye(3), atol=1e-9)
 
     def test_three_characters_all_from_second_factor(self):

@@ -149,7 +149,7 @@ class TestIdealGenerated:
 
     def test_unit_seed_generates_everything(self):
         alg = pointwise_algebra(3)
-        assert ideal_generated(alg, [alg.unit]).dim == 3
+        assert ideal_generated(alg, [alg.unit()]).dim == 3
 
     def test_triangular_e11_left_ideal(self, triangular):
         dup = duplicate(*triangular)  # (E12; E11, E22)

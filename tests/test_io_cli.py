@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from amaldup.algebra import duplicate
+from amaldup.algebra import BimoduleAction, duplicate
 from amaldup.bundles import (bundle_from_triple, bundle_to_obj, parse_bundle,
                              serialize_bundle)
 from amaldup.cli import emit_report, run_command
 from amaldup.errors import DuplicateEntry, ParseError
 from amaldup.sampling import random_triple
+
+from conftest import near_unital_algebra, scalar_algebra
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "block_route_cli.json")
@@ -147,6 +149,20 @@ class TestCli:
         code, report = run_command(["validate", fixture_path("lau_unital")])
         assert code == 0
         assert "pass" in report
+
+    def test_validate_decides_the_unit_at_its_tol(self, tmp_path):
+        # A's unit defect is 1e-7: a unit at --tol 1e-5, none at 1e-9
+        path = tmp_path / "near_unital.json"
+        path.write_text(serialize_bundle(bundle_from_triple(
+            near_unital_algebra(), scalar_algebra(), BimoduleAction.zero(2, 1))))
+        for tol, unital in (("1e-5", True), ("1e-9", False)):
+            _, report = run_command(["validate", str(path), "--tol", tol,
+                                     "--format", "json"])
+            row = next(r for r in json.loads(report)["results"]
+                       if r["id"] == "algebra-a-unit")
+            assert row["status"] == "pass"
+            assert row["value"] == ("unital" if unital else "non-unital")
+            assert (row["defect"] > 0.0) is unital
 
     def test_fail_row_gives_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -380,7 +396,7 @@ class TestShrinker:
         from amaldup.sampling import shrink_triple
         rng = np.random.default_rng(24)
         a, f, act, recipe = random_triple(rng, unital_a=True)
-        predicate = lambda aa, ff, aact: aa.unit is not None and aa.dim == a.dim
+        predicate = lambda aa, ff, aact: aa.unit() is not None and aa.dim == a.dim
         sa, sf, sact, _ = shrink_triple(a, f, act, recipe, predicate)
         assert predicate(sa, sf, sact)
         assert sa.dim == a.dim
@@ -415,7 +431,7 @@ class TestAudit:
         assert a.dim == f.dim == 1
         assert not (np.any(a.mult) or np.any(f.mult)
                     or np.any(act.left) or np.any(act.right))
-        assert witnesses["(d) level 0"][0].unit is not None
+        assert witnesses["(d) level 0"][0].unit() is not None
         claims = {note: violated
                   for _, note, _, violated in audit._TRANSFER_CLAIMS}
         for note, triple in witnesses.items():

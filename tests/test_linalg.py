@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+import pkgutil
 import re
 import tokenize
 from pathlib import Path
@@ -303,6 +306,18 @@ class TestTolerancePolicy:
         # every other module states its slack through check_bound or
         # cluster_gap, never as a multiple of tol or a bare epsilon
         assert tolerance_arithmetic(Path(amaldup.__file__).parent) == []
+
+    def test_no_dataclass_carries_a_tol(self):
+        # every decision takes the caller's tol: no record keeps its own
+        carriers = []
+        for info in pkgutil.iter_modules(amaldup.__path__):
+            module = importlib.import_module(f"amaldup.{info.name}")
+            for name, obj in vars(module).items():
+                if (isinstance(obj, type) and obj.__module__ == module.__name__
+                        and dataclasses.is_dataclass(obj)
+                        and "tol" in {f.name for f in dataclasses.fields(obj)}):
+                    carriers.append(f"{info.name}.{name}")
+        assert carriers == []
 
     def test_membership_decided_at_the_given_tol(self):
         # a subspace keeps no tol: without one, membership is decided at
